@@ -26,6 +26,11 @@ Seven phases, written to ``BENCH_perf.json`` at the repo root:
   ratio (a 1-core self-comparison is noise, not a benchmark) and
   records why.
 
+Every scalar side runs the reference engines of ``tests.oracles``
+(called directly in the microbenches, patched in by
+``reference_engines`` for whole experiments); ``src`` itself has only
+the vectorised engines.
+
 The hard gates (CI fails on them) are deliberately loose -- the
 vectorised kernels must not be *slower* than their scalar references --
 so noisy shared runners cannot flake the build; the headline ratios are
@@ -38,7 +43,7 @@ from __future__ import annotations
 import json
 import os
 import platform
-from contextlib import ExitStack
+from contextlib import nullcontext
 from pathlib import Path
 from time import perf_counter
 
@@ -58,12 +63,15 @@ from repro.fabric.parts import VIRTEX_ULTRASCALE_PLUS, ZYNQ_ULTRASCALE_PLUS
 from repro.fabric.routing import SegmentId
 from repro.fabric.segments import SegmentKind
 from repro.montecarlo import experiment_sweep, resolve_jobs
-from repro.physics.pool_array import aging_kernel
 from repro.sensor import find_theta_init
-from repro.sensor.calibration import calibration_kernel
 from repro.sensor.noise import LAB_NOISE
-from repro.sensor.tdc import TunableDualPolarityTdc, capture_kernel
+from repro.sensor.tdc import TunableDualPolarityTdc
 from repro.units import celsius_to_kelvin
+from tests.oracles import (
+    ScalarAgingDevice,
+    measure_raw_scalar,
+    reference_engines,
+)
 
 _TARGET = Path(__file__).resolve().parents[1] / "BENCH_perf.json"
 
@@ -79,16 +87,16 @@ _AGING_SEGMENTS = 4096
 _AMBIENT_K = celsius_to_kelvin(35.0)
 
 
-def _time_measurements(tdc, theta, kernel, reps):
+def _time_measurements(measure_raw, tdc, theta, reps):
     for _ in range(5):  # warm caches, allocator, rng dispatch
-        tdc.measure_raw(theta, kernel=kernel)
+        measure_raw(tdc, theta)
     start = perf_counter()
     for _ in range(reps):
-        tdc.measure_raw(theta, kernel=kernel)
+        measure_raw(tdc, theta)
     return (perf_counter() - start) / reps
 
 
-def _build_aging_device(kernel):
+def _build_aging_device(device_cls):
     """A loaded device with >= _AGING_SEGMENTS materialised segments.
 
     A hundred mixed-length routed nets give the advance realistic
@@ -96,8 +104,7 @@ def _build_aging_device(kernel):
     the quota is materialised directly as idle SINGLE segments (routing
     banks top out far below 4k on this grid).
     """
-    with aging_kernel(kernel):
-        device = FpgaDevice(VIRTEX_ULTRASCALE_PLUS, seed=33)
+    device = device_cls(VIRTEX_ULTRASCALE_PLUS, seed=33)
     lengths = [1000.0, 2000.0, 5000.0, 10000.0] * 25
     routes = build_route_bank(device.grid, lengths)
     design = build_target_design(
@@ -124,9 +131,9 @@ def _time_advances(device, reps):
     return (perf_counter() - start) / reps
 
 
-def _time_exp1(kernel):
+def _time_exp1(scalar):
     config = Experiment1Config.quick()
-    with capture_kernel(kernel):
+    with reference_engines("capture") if scalar else nullcontext():
         best, accuracy = float("inf"), None
         for _ in range(2):
             start = perf_counter()
@@ -136,9 +143,9 @@ def _time_exp1(kernel):
     return best, accuracy
 
 
-def _time_exp2(kernel):
+def _time_exp2(scalar):
     config = Experiment2Config.quick()
-    with aging_kernel(kernel):
+    with reference_engines("aging") if scalar else nullcontext():
         best, accuracy = float("inf"), None
         for _ in range(2):
             start = perf_counter()
@@ -151,18 +158,14 @@ def _time_exp2(kernel):
 def _time_quick_all_knobs(run, config_cls, scalar, reps=2):
     """Best-of-``reps`` wall time of one --quick experiment.
 
-    ``scalar=True`` pins *every* kernel knob to its scalar reference --
-    capture words, calibration scan and aging -- the fully unbatched
-    path the PR 7 tentpole is measured against.  The DRC cache is
+    ``scalar=True`` runs *every* reference engine -- capture words,
+    calibration scan, aging and the eager provider -- the fully
+    unbatched path the PR 7 tentpole is measured against.  The DRC cache is
     cleared before every rep so each rep pays its own full vetting
     cost (reports are keyed per compile, so reps never share entries;
     clearing just keeps the comparison cold-start honest).
     """
-    with ExitStack() as stack:
-        if scalar:
-            stack.enter_context(capture_kernel("scalar"))
-            stack.enter_context(calibration_kernel("scalar"))
-            stack.enter_context(aging_kernel("scalar"))
+    with reference_engines() if scalar else nullcontext():
         best, accuracy = float("inf"), None
         for _ in range(reps):
             clear_drc_cache()
@@ -175,7 +178,7 @@ def _time_quick_all_knobs(run, config_cls, scalar, reps=2):
 
 
 def _calibration_axis_accuracy(run, config_cls):
-    """Recovery accuracy under each calibration *scan* kernel.
+    """Recovery accuracy under each calibration *scan*.
 
     Capture stays batched on both sides: the scan orchestration is the
     one axis pinned bit-identical even with jitter on (each route owns
@@ -185,7 +188,8 @@ def _calibration_axis_accuracy(run, config_cls):
     accuracies = {}
     for scan in ("scalar", "batched"):
         clear_drc_cache()
-        with calibration_kernel(scan):
+        with (reference_engines("calibration") if scan == "scalar"
+              else nullcontext()):
             accuracies[scan] = run(config_cls.quick()).recovery_score.accuracy
     return accuracies["scalar"], accuracies["batched"]
 
@@ -196,8 +200,10 @@ def test_bench_perf(emit):
     tdc = TunableDualPolarityTdc(device, route, noise=LAB_NOISE, seed=1)
     theta = find_theta_init(tdc)
 
-    scalar_s = _time_measurements(tdc, theta, "scalar", _MICRO_REPS)
-    batched_s = _time_measurements(tdc, theta, "batched", _MICRO_REPS)
+    scalar_s = _time_measurements(measure_raw_scalar, tdc, theta, _MICRO_REPS)
+    batched_s = _time_measurements(
+        TunableDualPolarityTdc.measure_raw, tdc, theta, _MICRO_REPS
+    )
     micro_speedup = scalar_s / batched_s
     words_per_measurement = 2 * 10 * 16  # both polarities
     emit(f"micro: scalar {scalar_s * 1e3:.2f} ms/measurement, "
@@ -205,8 +211,8 @@ def test_bench_perf(emit):
          f"({micro_speedup:.1f}x, "
          f"{words_per_measurement / batched_s:,.0f} words/s)")
 
-    scalar_device = _build_aging_device("scalar")
-    array_device = _build_aging_device("array")
+    scalar_device = _build_aging_device(ScalarAgingDevice)
+    array_device = _build_aging_device(FpgaDevice)
     aging_segments = array_device.materialised_segments
     assert scalar_device.materialised_segments == aging_segments
     aging_scalar_s = _time_advances(scalar_device, _AGING_REPS)
@@ -218,15 +224,15 @@ def test_bench_perf(emit):
          f"({aging_speedup:.1f}x, "
          f"{aging_segments / aging_array_s:,.0f} segments/s)")
 
-    e2e_scalar_s, scalar_accuracy = _time_exp1("scalar")
-    e2e_batched_s, batched_accuracy = _time_exp1("batched")
+    e2e_scalar_s, scalar_accuracy = _time_exp1(scalar=True)
+    e2e_batched_s, batched_accuracy = _time_exp1(scalar=False)
     e2e_speedup = e2e_scalar_s / e2e_batched_s
     emit(f"exp1 --quick: scalar {e2e_scalar_s:.2f} s, "
          f"batched {e2e_batched_s:.2f} s ({e2e_speedup:.1f}x), "
          f"accuracy {scalar_accuracy:.3f} -> {batched_accuracy:.3f}")
 
-    exp2_scalar_s, exp2_scalar_accuracy = _time_exp2("scalar")
-    exp2_array_s, exp2_array_accuracy = _time_exp2("array")
+    exp2_scalar_s, exp2_scalar_accuracy = _time_exp2(scalar=True)
+    exp2_array_s, exp2_array_accuracy = _time_exp2(scalar=False)
     exp2_speedup = exp2_scalar_s / exp2_array_s
     emit(f"exp2 --quick: scalar-aging {exp2_scalar_s:.2f} s, "
          f"array-aging {exp2_array_s:.2f} s ({exp2_speedup:.1f}x), "

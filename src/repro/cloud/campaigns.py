@@ -740,17 +740,10 @@ class LazyFleet:
             raise CloudError(f"board {board} outside fleet of {self.size}")
         dev = self._devices.get(board)
         if dev is None:
-            if self._store is not None:
-                dev = FpgaDevice(
-                    self.part, wear=self.wear,
-                    seed=int(self._seeds[board]),
-                    aging_kernel="array", bti_store=self._store,
-                )
-            else:
-                dev = FpgaDevice(
-                    self.part, wear=self.wear,
-                    seed=int(self._seeds[board]),
-                )
+            dev = FpgaDevice(
+                self.part, wear=self.wear,
+                seed=int(self._seeds[board]), bti_store=self._store,
+            )
             self._devices[board] = dev
         return dev
 

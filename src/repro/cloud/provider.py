@@ -9,8 +9,8 @@ returns it to the pool -- with an optional hold-back delay, the Section
 Lazy aging (the fleet-scale path)
 ---------------------------------
 
-By default the provider no longer walks every device on every clock
-tick.  Each region keeps an append-only :class:`RegionTimeline` of the
+The provider does not walk every device on every clock tick.  Each
+region keeps an append-only :class:`RegionTimeline` of the
 intervals the clock advanced through (duration + the ambient sampled at
 the interval start), and every device carries only its *position* in
 that timeline.  A device catches up -- replaying exactly the
@@ -19,8 +19,9 @@ order, with the same ambient values -- the first time something observes
 or mutates it (loading a design, wiping at release, reading a delay).
 Devices with no analog state yet skip the replay entirely in O(1).
 
-``CloudProvider(lazy_aging=False)`` restores the synchronous walker;
-the equivalence suite pins the two modes bit-identical.
+This is the only provider aging engine.  The synchronous walker that
+touches every device on every tick survives as a provider subclass in
+``tests/oracles``; the equivalence suite pins the two bit-identical.
 
 Allocation is O(log n): the free pool is kept ordered by
 ``released_at_hours`` (releases arrive in clock order, so appends keep
@@ -128,8 +129,7 @@ class Region:
         j = bisect_right(self._keys, key, lo=self._head)
         self._free.insert(j, _PooledDevice(device, released_at_hours=key))
         self._keys.insert(j, key)
-        if self.provider.lazy_aging:
-            device.bind_timeline(self.timeline, len(self.timeline))
+        device.bind_timeline(self.timeline, len(self.timeline))
 
     def _return_device(self, device: FpgaDevice, released_at: float) -> None:
         """Append a returned board (clock order keeps the pool sorted)."""
@@ -227,8 +227,7 @@ class Region:
             if device.pending_intervals == 0:
                 continue
             if (
-                device.aging_kernel == "array"
-                and device.loaded_design is None
+                device.loaded_design is None
                 and device.materialised_segments > 0
             ):
                 key = (id(device.aging_store), device.timeline_position)
@@ -253,9 +252,8 @@ class Region:
 class CloudProvider:
     """The platform operator."""
 
-    def __init__(self, seed: SeedLike = None, lazy_aging: bool = True) -> None:
+    def __init__(self, seed: SeedLike = None) -> None:
         self.clock_hours = 0.0
-        self.lazy_aging = lazy_aging
         self._rng: np.random.Generator = make_rng(seed)
         self._regions: dict[str, Region] = {}
 
@@ -309,9 +307,9 @@ class CloudProvider:
         """End a tenancy: scrub the device and return it to the pool.
 
         The scrub clears every bit of logical state.  It cannot touch
-        the analog domain -- that is the vulnerability.  (Under lazy
-        aging the wipe first catches the device up to *now*, so the
-        tenancy's stress is integrated before the design disappears.)
+        the analog domain -- that is the vulnerability.  (The wipe
+        first catches the device up to *now*, so the tenancy's stress
+        is integrated before the design disappears.)
         """
         region = self.region(instance.region_name)
         if instance.instance_id not in region._rented:
@@ -331,22 +329,15 @@ class CloudProvider:
 
         Every device in every region experiences the interval: rented
         devices run their loaded designs (powered, stressing), free
-        devices idle (annealing).  Under lazy aging the interval is
-        only *recorded* here; devices integrate it on first touch.
+        devices idle (annealing).  The interval is only *recorded*
+        here; devices integrate it on first touch.
         """
         if hours < 0.0:
             raise CloudError(f"cannot advance time by {hours} hours")
         if hours == 0.0:
             return
-        if self.lazy_aging:
-            for region in self._regions.values():
-                ambient_k = region.ambient.at(self.clock_hours)
-                region.timeline.append(hours, ambient_k)
-        else:
-            for region in self._regions.values():
-                ambient_k = region.ambient.at(self.clock_hours)
-                for device in region.devices():
-                    device.advance_hours(hours, ambient_k)
+        for region in self._regions.values():
+            region.timeline.append(hours, region.ambient.at(self.clock_hours))
         self.clock_hours += hours
 
     def sync_all(self) -> None:

@@ -24,34 +24,29 @@ and eager providers are bit-identical.  A device with no materialised
 analog state skips the replay in O(1): its ``sim_hours`` fast-forwards
 along the timeline's identically-accumulated clock.
 
-Two aging kernels implement the advance (selected per process via
-:func:`repro.physics.pool_array.set_aging_kernel`, resolved when the
-device is constructed):
-
-* ``"array"`` (default) -- segments register into a
-  :class:`~repro.physics.pool_array.SegmentBtiArray`; routed nets are
-  grouped by activity class (static-1, static-0, toggling-by-duty,
-  idle), so one interval is a handful of masked array updates.
-  ``segment_state`` returns thin views into the arrays.
-* ``"scalar"`` -- the per-object reference path: one
-  :class:`~repro.physics.bti.SegmentBti` per segment, walked in Python.
-
-Both kernels are bit-identical (same RNG draws at materialisation, same
-numpy transcendentals in the kinetics); the equivalence suite pins this.
+One aging engine implements the advance: segments register into a
+:class:`~repro.physics.pool_array.SegmentBtiArray`; routed nets are
+grouped by activity class (static-1, static-0, toggling-by-duty, idle),
+so one interval is a handful of masked array updates, and
+``segment_state`` returns thin views into the arrays.  The per-object
+reference walker -- one :class:`~repro.physics.bti.SegmentBti` per
+segment -- lives in ``tests/oracles`` as a device subclass; the
+equivalence suite pins the two bit-identical (same RNG draws at
+materialisation, same numpy transcendentals in the kinetics).
 """
 
 from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
-from typing import Optional, Union
+from typing import Optional
 
 import numpy as np
 
 from repro.errors import FabricError
 from repro.fabric.bitstream import Bitstream
 from repro.fabric.geometry import FabricGrid
-from repro.fabric.netlist import Net, NetActivity
+from repro.fabric.netlist import NetActivity
 from repro.fabric.parts import PartDescriptor
 from repro.fabric.routing import Route, SegmentId
 from repro.fabric.segments import spec_for
@@ -59,13 +54,9 @@ from repro.fabric.thermal import ThermalModel
 from repro.observability.metrics import registry
 from repro.physics.aging import NEW_PART, WearProfile
 from repro.physics.constants import REFERENCE_VOLTAGE_V
-from repro.physics.bti import SegmentBti, SegmentTraits
+from repro.physics.bti import SegmentTraits
 from repro.physics.delay import TransitionDelays
-from repro.physics.pool_array import (
-    SegmentBtiArray,
-    SegmentBtiSlot,
-    get_aging_kernel,
-)
+from repro.physics.pool_array import SegmentBtiArray, SegmentBtiSlot
 from repro.physics.variation import ProcessVariation
 from repro.rng import SeedLike, make_rng
 
@@ -116,7 +107,6 @@ class FpgaDevice:
         part: PartDescriptor,
         wear: WearProfile = NEW_PART,
         seed: SeedLike = None,
-        aging_kernel: Optional[str] = None,
         bti_store: Optional[SegmentBtiArray] = None,
     ) -> None:
         self.part = part
@@ -131,21 +121,8 @@ class FpgaDevice:
         self.sim_hours = 0.0
         self.core_voltage_v = REFERENCE_VOLTAGE_V
         self.grid: FabricGrid = part.make_grid()
-        self.aging_kernel = (
-            aging_kernel if aging_kernel is not None else get_aging_kernel()
-        )
-        if self.aging_kernel not in ("array", "scalar"):
-            raise FabricError(
-                f"unknown aging kernel {self.aging_kernel!r}"
-            )
-        if bti_store is not None and self.aging_kernel != "array":
-            raise FabricError(
-                "a shared bti_store requires the array aging kernel"
-            )
-        # Scalar kernel: one SegmentBti object per materialised segment.
-        self._segments: dict[SegmentId, SegmentBti] = {}
-        # Array kernel: SoA state plus the SegmentId -> slot index map
-        # and the cached per-slot views.  ``bti_store`` lets a whole
+        # SoA state plus the SegmentId -> slot index map and the cached
+        # per-slot views.  ``bti_store`` lets a whole
         # fleet share one backing array (slot blocks per device), which
         # is what enables cross-device bulk catch-up.
         self._bti_array = bti_store if bti_store is not None else SegmentBtiArray()
@@ -165,41 +142,30 @@ class FpgaDevice:
     # Analog state store
     # ------------------------------------------------------------------
 
-    def segment_state(
-        self, segment_id: SegmentId
-    ) -> Union[SegmentBti, SegmentBtiSlot]:
+    def segment_state(self, segment_id: SegmentId) -> SegmentBtiSlot:
         """The persistent analog state of one physical segment.
 
         Created lazily on first touch, with die-specific process
         variation and (for worn devices) residual imprints from prior,
-        unobserved tenants.  Under the array kernel the returned object
-        is a thin view into the device's arrays; either way it exposes
-        the full :class:`~repro.physics.bti.SegmentBti` surface.
+        unobserved tenants.  The returned object is a thin view into the
+        device's arrays exposing the full
+        :class:`~repro.physics.bti.SegmentBti` surface.
         """
         self.sync()
-        if self.aging_kernel == "array":
-            slot = self._array_slots.get(segment_id)
-            if slot is None:
-                slot = self._bti_array.view(self._segment_index(segment_id))
-                self._array_slots[segment_id] = slot
-            return slot
-        state = self._segments.get(segment_id)
-        if state is None:
-            traits, high, low = self._materialise(segment_id)
-            state = SegmentBti(traits)
-            if high or low:
-                state.preload_imprint(high_charge_ps=high, low_charge_ps=low)
-            self._segments[segment_id] = state
-        return state
+        slot = self._array_slots.get(segment_id)
+        if slot is None:
+            slot = self._bti_array.view(self._segment_index(segment_id))
+            self._array_slots[segment_id] = slot
+        return slot
 
     def _materialise(
         self, segment_id: SegmentId
     ) -> tuple[SegmentTraits, float, float]:
         """Sample one segment's traits and residual imprints.
 
-        The RNG draw order is identical under both kernels (one
-        variation sample, then one imprint sample), which is what keeps
-        the kernels' device states bit-identical from a shared seed.
+        One variation sample, then one imprint sample: the reference
+        walker in ``tests/oracles`` draws in the same order, which is
+        what keeps the two engines bit-identical from a shared seed.
         """
         spec = spec_for(segment_id.kind)
         rising, falling, amplitude = self._variation.sample_segment(
@@ -216,7 +182,7 @@ class FpgaDevice:
         return traits, high, low
 
     def _segment_index(self, segment_id: SegmentId) -> int:
-        """Array-kernel slot of a segment, materialising on first touch."""
+        """Array slot of a segment, materialising on first touch."""
         index = self._array_index.get(segment_id)
         if index is None:
             traits, high, low = self._materialise(segment_id)
@@ -231,9 +197,7 @@ class FpgaDevice:
     @property
     def materialised_segments(self) -> int:
         """Number of segments whose analog state has been realised."""
-        if self.aging_kernel == "array":
-            return len(self._array_index)
-        return len(self._segments)
+        return len(self._array_index)
 
     # ------------------------------------------------------------------
     # Design lifecycle
@@ -398,11 +362,7 @@ class FpgaDevice:
         if duration_hours == 0.0:
             return
         self._ambient_k = ambient_k
-        junction = self.junction_k()
-        if self.aging_kernel == "array":
-            self._advance_array(duration_hours, junction)
-        else:
-            self._advance_scalar(duration_hours, junction)
+        self._age_segments(duration_hours, self.junction_k())
         if self._loaded is not None:
             self.effective_age_hours += duration_hours
         self.sim_hours += duration_hours
@@ -414,19 +374,9 @@ class FpgaDevice:
             "simulated segment-hours of BTI integration",
         ).inc(duration_hours * self.materialised_segments)
 
-    def _advance_scalar(self, duration_hours: float, junction_k: float) -> None:
-        """Reference path: walk every segment object in Python."""
-        driven: set[SegmentId] = set()
-        if self._loaded is not None:
-            for net in self._loaded.netlist.routed_nets():
-                self._apply_net_activity(net, duration_hours, junction_k)
-                driven.update(net.route)
-        for segment_id, state in self._segments.items():
-            if segment_id not in driven:
-                state.idle(duration_hours, junction_k)
-
-    def _advance_array(self, duration_hours: float, junction_k: float) -> None:
-        """Vectorised path: a handful of masked array updates."""
+    def _age_segments(self, duration_hours: float, junction_k: float) -> None:
+        """One interval of BTI integration: a handful of masked array
+        updates, one per activity group."""
         groups = self._activity_groups()
         age = self.effective_age_hours
         voltage = self.core_voltage_v
@@ -503,30 +453,6 @@ class FpgaDevice:
         self._groups_count = len(self._array_index)
         return self._groups
 
-    def _apply_net_activity(
-        self, net: Net, duration_hours: float, junction_k: float
-    ) -> None:
-        for segment_id in net.route:
-            state = self.segment_state(segment_id)
-            if net.activity is NetActivity.STATIC:
-                state.hold(
-                    int(net.static_value),
-                    duration_hours,
-                    junction_k,
-                    device_age_hours=self.effective_age_hours,
-                    voltage_v=self.core_voltage_v,
-                )
-            elif net.activity is NetActivity.TOGGLING:
-                state.toggle(
-                    duration_hours,
-                    junction_k,
-                    device_age_hours=self.effective_age_hours,
-                    duty_high=net.duty_high,
-                    voltage_v=self.core_voltage_v,
-                )
-            else:
-                state.idle(duration_hours, junction_k)
-
     # ------------------------------------------------------------------
     # Delay queries (used only by on-fabric sensors)
     # ------------------------------------------------------------------
@@ -567,7 +493,7 @@ class FpgaDevice:
         return ThermalModel().junction_k(self._ambient_k, power)
 
     def _route_indices(self, route: Route) -> np.ndarray:
-        """Array-kernel slots of a route's segments (materialising)."""
+        """Array slots of a route's segments (materialising)."""
         return np.fromiter(
             (self._segment_index(s) for s in route), dtype=np.intp,
             count=len(route),
@@ -582,17 +508,12 @@ class FpgaDevice:
         noisy output.
         """
         self.sync()
-        if self.aging_kernel == "array":
-            indices = self._route_indices(route)
-            # Sequential left-to-right sum: bit-identical to the scalar
-            # kernel's TransitionDelays accumulation.
-            rising = sum(self._bti_array.rising_delay_ps(indices).tolist())
-            falling = sum(self._bti_array.falling_delay_ps(indices).tolist())
-            total = TransitionDelays(rising_ps=rising, falling_ps=falling)
-        else:
-            total = TransitionDelays.zero()
-            for segment_id in route:
-                total = total + self.segment_state(segment_id).transition_delays()
+        indices = self._route_indices(route)
+        # Sequential left-to-right sum: bit-identical to accumulating
+        # per-segment TransitionDelays (the reference walker's order).
+        rising = sum(self._bti_array.rising_delay_ps(indices).tolist())
+        falling = sum(self._bti_array.falling_delay_ps(indices).tolist())
+        total = TransitionDelays(rising_ps=rising, falling_ps=falling)
         scale = 1.0 + DELAY_TEMP_COEFF_PER_K * (self.junction_k() - _DELAY_TEMP_REF_K)
         return TransitionDelays(
             rising_ps=total.rising_ps * scale,
@@ -602,12 +523,8 @@ class FpgaDevice:
     def route_delta_ps(self, route: Route) -> float:
         """True BTI delta-ps of a route (oracle; for tests/analysis only)."""
         self.sync()
-        if self.aging_kernel == "array":
-            indices = self._route_indices(route)
-            return float(sum(self._bti_array.delta_ps(indices).tolist()))
-        return float(
-            sum(self.segment_state(seg).delta_ps for seg in route)
-        )
+        indices = self._route_indices(route)
+        return float(sum(self._bti_array.delta_ps(indices).tolist()))
 
     def info(self) -> DeviceInfo:
         """Provider-side identity record."""
@@ -622,6 +539,5 @@ class FpgaDevice:
         loaded = self._loaded.name if self._loaded else None
         return (
             f"FpgaDevice(id={self.device_id}, part={self.part.name!r}, "
-            f"age={self.effective_age_hours:.0f}h, loaded={loaded!r}, "
-            f"kernel={self.aging_kernel!r})"
+            f"age={self.effective_age_hours:.0f}h, loaded={loaded!r})"
         )

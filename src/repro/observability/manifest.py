@@ -138,20 +138,13 @@ def git_state() -> tuple[Optional[str], Optional[bool]]:
 
 
 def resolved_kernels() -> dict:
-    """The kernel knobs this process actually resolved to.
+    """The capture and aging engines a run uses.
 
-    Records what ``REPRO_CAPTURE_KERNEL`` / ``REPRO_AGING_KERNEL`` (or
-    their in-process setters) produced, so an archived number can be
-    attributed to the batched vs reference capture path and the array
-    vs scalar aging engine.
+    Each has exactly one production engine (the reference paths are test
+    oracles), so the names are fixed; the manifest still records them so
+    archives stay comparable with ones that predate the single path.
     """
-    from repro.physics.pool_array import get_aging_kernel
-    from repro.sensor.tdc import get_capture_kernel
-
-    return {
-        "capture": get_capture_kernel(),
-        "aging": get_aging_kernel(),
-    }
+    return {"capture": "batched", "aging": "array"}
 
 
 def _config_as_dict(config: Any) -> Optional[dict]:

@@ -21,6 +21,7 @@ from dataclasses import dataclass
 from typing import Optional, Sequence
 
 from repro.observability import trace
+from repro.observability.manifest import resolved_kernels
 
 __all__ = [
     "AttributionRow",
@@ -101,7 +102,7 @@ def build_report(
     report = {
         "rows": [row.to_dict() for row in rows],
         "spans_total_s": round(roots_total, 6),
-        "kernels": _active_kernels(),
+        "kernels": resolved_kernels(),
     }
     retries, simulated_s = _retry_wait(forest)
     if retries:
@@ -125,17 +126,6 @@ def _retry_wait(forest: Sequence[trace.Span]) -> tuple[int, float]:
                 count += 1
                 simulated += float(sp.attrs.get("simulated_delay_s", 0.0))
     return count, simulated
-
-
-def _active_kernels() -> dict:
-    """The kernel selections in effect for this process."""
-    from repro.physics.pool_array import get_aging_kernel
-    from repro.sensor.tdc import get_capture_kernel
-
-    return {
-        "capture": get_capture_kernel(),
-        "aging": get_aging_kernel(),
-    }
 
 
 def _fmt_seconds(seconds: float) -> str:

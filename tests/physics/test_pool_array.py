@@ -10,7 +10,9 @@ this file is exact equality, not approx.
 import numpy as np
 import pytest
 
+import repro.cloud.fleet
 from repro.errors import PhysicsError
+from repro.fabric.device import FpgaDevice
 from repro.physics.bti import SegmentBti, SegmentTraits
 from repro.physics.constants import (
     HIGH_POOL,
@@ -18,47 +20,31 @@ from repro.physics.constants import (
     REFERENCE_TEMPERATURE_K,
 )
 from repro.physics.kinetics import TrapPool
-from repro.physics.pool_array import (
-    AGING_KERNELS,
-    SegmentBtiArray,
-    TrapPoolArray,
-    aging_kernel,
-    get_aging_kernel,
-    set_aging_kernel,
-)
+from repro.physics.pool_array import SegmentBtiArray, TrapPoolArray
+from tests.oracles import ScalarAgingDevice, reference_engines
 
 REF_K = REFERENCE_TEMPERATURE_K
 
 
 class TestKernelKnobs:
-    def test_known_kernels(self):
-        assert AGING_KERNELS == ("array", "scalar")
-        assert get_aging_kernel() in AGING_KERNELS
-
-    def test_set_returns_previous_default(self):
-        previous = set_aging_kernel("scalar")
-        try:
-            assert get_aging_kernel() == "scalar"
-        finally:
-            set_aging_kernel(previous)
-        assert get_aging_kernel() == previous
+    """Devices run the array engine only; the per-object reference is
+    swapped in by ``tests.oracles.reference_engines("aging")``."""
 
     def test_context_manager_restores(self):
-        before = get_aging_kernel()
-        with aging_kernel("scalar"):
-            assert get_aging_kernel() == "scalar"
-        assert get_aging_kernel() == before
+        with reference_engines("aging"):
+            assert repro.cloud.fleet.FpgaDevice is ScalarAgingDevice
+        assert repro.cloud.fleet.FpgaDevice is FpgaDevice
 
     def test_context_manager_restores_on_error(self):
-        before = get_aging_kernel()
         with pytest.raises(RuntimeError):
-            with aging_kernel("scalar"):
+            with reference_engines("aging"):
                 raise RuntimeError("boom")
-        assert get_aging_kernel() == before
+        assert repro.cloud.fleet.FpgaDevice is FpgaDevice
 
     def test_unknown_kernel_rejected(self):
-        with pytest.raises(PhysicsError):
-            set_aging_kernel("quantum")
+        with pytest.raises(ValueError):
+            with reference_engines("quantum"):
+                pass
 
 
 class TestTrapPoolArrayBasics:

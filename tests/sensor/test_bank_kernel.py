@@ -4,7 +4,8 @@ PR 2 pinned the batched *trace* kernel against the scalar per-word
 loop.  This suite pins the *routes* axis added on top of it:
 
 * the lockstep calibration scan (``find_theta_init_bank``) against the
-  sequential per-route scan, bit for bit, **with jitter on** -- every
+  sequential per-route scan (``tests.oracles.calibrate_sequential``),
+  bit for bit, **with jitter on** -- every
   route owns an independent generator stream, so batching across routes
   never reorders any route's own draws;
 * one stacked ``measure_bank`` call against a ``measure_route`` loop,
@@ -28,12 +29,11 @@ from repro.fabric.device import FpgaDevice
 from repro.fabric.parts import ZYNQ_ULTRASCALE_PLUS
 from repro.observability.metrics import registry
 from repro.reliability.faults import FaultPlan, FaultSpec, fault_plan
+from repro.designs.measure import MeasureSession
 from repro.sensor.calibration import (
-    calibration_kernel,
     find_theta_init,
     find_theta_init_bank,
     get_calibration_kernel,
-    set_calibration_kernel,
 )
 from repro.sensor.carry_chain import CarryChain, bank_wavefront_positions
 from repro.sensor.clocking import PhaseGenerator
@@ -44,6 +44,7 @@ from repro.sensor.postprocess import (
 )
 from repro.sensor.tdc import TunableDualPolarityTdc
 from repro.sensor.trace import Polarity
+from tests.oracles import calibrate_sequential, reference_engines
 
 QUIET = NoiseModel(jitter_ps=0.0, polarity_offset_sigma_ps=0.0,
                    offset_correlation=0.0)
@@ -71,14 +72,14 @@ class TestCalibrationBitIdentity:
         """Same seeds => identical theta_init dicts, jitter and all."""
         scalar = make_session(seed, noise=CLOUD_NOISE)
         batched = make_session(seed, noise=CLOUD_NOISE)
-        theta_scalar = scalar.calibrate(calibration="scalar")
-        theta_batched = batched.calibrate(calibration="batched")
+        theta_scalar = calibrate_sequential(scalar)
+        theta_batched = batched.calibrate()
         assert theta_scalar == theta_batched
         assert list(theta_scalar) == list(theta_batched)
 
     def test_counters_match_scalar_scan(self):
         scalar = make_session(3, noise=LAB_NOISE)
-        scalar.calibrate(calibration="scalar")
+        calibrate_sequential(scalar)
         snapshot = {
             name: counter.value
             for name, counter in registry.counters.items()
@@ -86,7 +87,7 @@ class TestCalibrationBitIdentity:
         }
         registry.reset()
         batched = make_session(3, noise=LAB_NOISE)
-        batched.calibrate(calibration="batched")
+        batched.calibrate()
         for name, value in snapshot.items():
             assert registry.counters[name].value == value, name
 
@@ -112,10 +113,10 @@ class TestMeasureBankBitIdentity:
     def test_bank_matches_per_route_loop_with_jitter(self, seed):
         scalar = make_session(seed, noise=CLOUD_NOISE)
         batched = make_session(seed, noise=CLOUD_NOISE)
-        scalar.calibrate(calibration="scalar")
-        batched.calibrate(calibration="batched")
+        calibrate_sequential(scalar)
+        batched.calibrate()
         per_route = {
-            name: scalar.measure_route(name, kernel="batched")
+            name: scalar.measure_route(name)
             for name in scalar.route_names
         }
         bank, dropped = batched.measure_bank()
@@ -133,7 +134,7 @@ class TestMeasureBankBitIdentity:
 
     def test_scalar_kernel_rejected(self):
         session = make_session(2)
-        with pytest.raises(SensorError):
+        with pytest.raises(TypeError):
             session.measure_bank(kernel="scalar")
 
     def test_uncalibrated_route_raises_without_recover(self):
@@ -242,7 +243,7 @@ class TestFailureParity:
         scalar_plan = FaultPlan(seed=seed, specs=spec)
         scalar = make_session(seed, noise=LAB_NOISE)
         with fault_plan(scalar_plan):
-            theta_scalar = scalar.calibrate(calibration="scalar")
+            theta_scalar = calibrate_sequential(scalar)
         scalar_unrecovered = registry.counters.get(
             "calibrations_unrecovered_total"
         )
@@ -254,7 +255,7 @@ class TestFailureParity:
         batched_plan = FaultPlan(seed=seed, specs=spec)
         batched = make_session(seed, noise=LAB_NOISE)
         with fault_plan(batched_plan):
-            theta_batched = batched.calibrate(calibration="batched")
+            theta_batched = batched.calibrate()
         batched_unrecovered = registry.counters.get(
             "calibrations_unrecovered_total"
         )
@@ -275,34 +276,36 @@ class TestFailureParity:
         spec = {"sensor.capture": FaultSpec(probability=0.7)}
 
         scalar = make_session(13, noise=drift_only)
-        scalar.calibrate(calibration="scalar")
+        calibrate_sequential(scalar)
         with fault_plan(FaultPlan(seed=99, specs=spec)):
-            scalar_m, scalar_dropped = measure_with_recovery(
-                scalar, kernel="scalar"
-            )
+            with reference_engines("capture"):
+                scalar_m, scalar_dropped = measure_with_recovery(scalar)
 
         batched = make_session(13, noise=drift_only)
-        batched.calibrate(calibration="batched")
+        batched.calibrate()
         with fault_plan(FaultPlan(seed=99, specs=spec)):
-            batched_m, batched_dropped = measure_with_recovery(
-                batched, kernel="batched"
-            )
+            batched_m, batched_dropped = measure_with_recovery(batched)
 
         assert scalar_dropped == batched_dropped
         assert scalar_m == batched_m
 
 
 class TestCalibrationKernelSelection:
+    """The lockstep scan is the only one ``src`` runs; the sequential
+    scan is reachable only through ``tests.oracles``."""
+
     def test_default_is_batched(self):
         assert get_calibration_kernel() == "batched"
 
     def test_context_manager_restores(self):
-        with calibration_kernel("scalar"):
-            assert get_calibration_kernel() == "scalar"
-        assert get_calibration_kernel() == "batched"
+        production = MeasureSession.calibrate
+        with reference_engines("calibration"):
+            assert MeasureSession.calibrate is calibrate_sequential
+        assert MeasureSession.calibrate is production
 
     def test_unknown_kernel_rejected(self):
-        with pytest.raises(SensorError):
-            set_calibration_kernel("bisect2")
-        with pytest.raises(SensorError):
+        with pytest.raises(ValueError):
+            with reference_engines("bisect2"):
+                pass
+        with pytest.raises(TypeError):
             make_session(1).calibrate(calibration="newton")

@@ -1,8 +1,8 @@
 """Scalar-vs-batched capture kernel equivalence.
 
-The batched kernel is the production measurement path; the scalar
-per-word loop stays as the reference implementation.  Two pins hold the
-kernels together:
+The batched kernel is the only production measurement path; the scalar
+per-word loop is the reference oracle in ``tests.oracles.capture``.  Two
+pins hold the kernels together:
 
 * **Bit-exact** for jitter-free noise models: the batched kernel draws
   its metastability uniforms in one C-order ``random`` call, which
@@ -36,13 +36,14 @@ from repro.sensor.postprocess import (
     delta_ps_from_traces,
     trace_mean_distance,
 )
-from repro.sensor.tdc import (
-    TunableDualPolarityTdc,
-    capture_kernel,
-    get_capture_kernel,
-    set_capture_kernel,
-)
+from repro.observability.metrics import registry
+from repro.sensor.tdc import TunableDualPolarityTdc
 from repro.sensor.trace import Polarity
+from tests.oracles import (
+    capture_trace_scalar,
+    measure_raw_scalar,
+    reference_engines,
+)
 
 #: Slow polarity offset on, per-sample jitter off: every RNG draw of a
 #: measurement happens in the same stream order under both kernels.
@@ -143,11 +144,11 @@ class TestKernelEquivalence:
     def test_bit_identical_without_jitter(self):
         """Same seed => identical Measurement and identical raw words."""
         for seed in (5, 17, 123):
-            scalar_m, scalar_r, scalar_f = make_tdc(seed).measure_raw(
-                THETA, kernel="scalar"
+            scalar_m, scalar_r, scalar_f = measure_raw_scalar(
+                make_tdc(seed), THETA
             )
             batched_m, batched_r, batched_f = make_tdc(seed).measure_raw(
-                THETA, kernel="batched"
+                THETA
             )
             assert batched_m == scalar_m
             for a, b in zip(scalar_r + scalar_f, batched_r + batched_f):
@@ -155,10 +156,8 @@ class TestKernelEquivalence:
                 assert np.array_equal(a.words, b.words)
 
     def test_capture_trace_bit_identical_without_jitter(self):
-        scalar = make_tdc(9).capture_trace(THETA, Polarity.RISING,
-                                           kernel="scalar")
-        batched = make_tdc(9).capture_trace(THETA, Polarity.RISING,
-                                            kernel="batched")
+        scalar = capture_trace_scalar(make_tdc(9), THETA, Polarity.RISING)
+        batched = make_tdc(9).capture_trace(THETA, Polarity.RISING)
         np.testing.assert_array_equal(scalar.words, batched.words)
 
     def test_distributional_equivalence_with_jitter(self):
@@ -166,11 +165,11 @@ class TestKernelEquivalence:
         over >= 200 seeds the delta distributions must coincide."""
         n_seeds = 200
         scalar_deltas = np.array([
-            make_tdc(seed, LAB_NOISE).measure(THETA, kernel="scalar").delta_ps
+            measure_raw_scalar(make_tdc(seed, LAB_NOISE), THETA)[0].delta_ps
             for seed in range(n_seeds)
         ])
         batched_deltas = np.array([
-            make_tdc(seed, LAB_NOISE).measure(THETA, kernel="batched").delta_ps
+            make_tdc(seed, LAB_NOISE).measure(THETA).delta_ps
             for seed in range(n_seeds)
         ])
         # Means agree within 4 standard errors; spreads within 25%.
@@ -194,18 +193,25 @@ class TestKernelEquivalence:
 
 
 class TestKernelSelection:
+    """The batched kernel is the only one ``src`` runs; the scalar
+    reference is reachable only through ``tests.oracles``."""
+
     def test_default_is_batched(self):
-        assert get_capture_kernel() == "batched"
+        make_tdc(1).measure_raw(THETA)
+        # Only the batched kernel counts its words.
+        assert registry.counters["capture_words_total"].value == 2 * 10 * 16
 
     def test_context_manager_restores(self):
-        with capture_kernel("scalar"):
-            assert get_capture_kernel() == "scalar"
-        assert get_capture_kernel() == "batched"
+        production = TunableDualPolarityTdc.measure_raw
+        with reference_engines("capture"):
+            assert TunableDualPolarityTdc.measure_raw is measure_raw_scalar
+        assert TunableDualPolarityTdc.measure_raw is production
 
     def test_unknown_kernel_rejected(self):
-        with pytest.raises(SensorError):
-            set_capture_kernel("simd")
-        with pytest.raises(SensorError):
+        with pytest.raises(ValueError):
+            with reference_engines("simd"):
+                pass
+        with pytest.raises(TypeError):
             make_tdc(1).measure_raw(THETA, kernel="nope")
 
     def test_invalid_batch_params_rejected(self):
