@@ -1,10 +1,14 @@
 """Performance benchmark: batched capture, array aging, parallel sweeps.
 
-Seven phases, written to ``BENCH_perf.json`` at the repo root:
+Eight phases, written to ``BENCH_perf.json`` at the repo root:
 
 * **measurement microbench** -- full TDC measurements through the scalar
   reference kernel vs the vectorised batched kernel (the PR 2 tentpole
   targets >= 10x here);
+* **bank microbench** -- one 64-route board's ``resolve_bank`` (the
+  sparse per-word distance count) vs the dense every-tap resolve and
+  Hamming pass it replaced, on identical pre-drawn inputs, with the
+  resulting ``Measurement``s compared for equality;
 * **aging microbench** -- whole-device ``advance_hours`` on a >= 4k
   materialised-segment device under the scalar per-object kernel vs the
   structure-of-arrays kernel (the PR 3 tentpole targets >= 10x here);
@@ -47,7 +51,13 @@ from contextlib import nullcontext
 from pathlib import Path
 from time import perf_counter
 
-from repro.designs import build_route_bank, build_target_design
+import numpy as np
+
+from repro.designs import (
+    build_measure_design,
+    build_route_bank,
+    build_target_design,
+)
 from repro.experiments import (
     Experiment1Config,
     Experiment2Config,
@@ -64,19 +74,27 @@ from repro.fabric.routing import SegmentId
 from repro.fabric.segments import SegmentKind
 from repro.montecarlo import experiment_sweep, resolve_jobs
 from repro.sensor import find_theta_init
-from repro.sensor.noise import LAB_NOISE
+from repro.sensor.bank import resolve_bank
+from repro.sensor.noise import CLOUD_NOISE, LAB_NOISE
 from repro.sensor.tdc import TunableDualPolarityTdc
 from repro.units import celsius_to_kelvin
 from tests.oracles import (
     ScalarAgingDevice,
     measure_raw_scalar,
     reference_engines,
+    resolve_bank_dense,
 )
 
 _TARGET = Path(__file__).resolve().parents[1] / "BENCH_perf.json"
 
 #: Full measurements timed per kernel in the capture microbench.
 _MICRO_REPS = 60
+
+#: Whole-board resolves timed per implementation in the bank microbench.
+_BANK_REPS = 20
+
+#: Routes on the bank-microbench board (the paper's bank size).
+_BANK_ROUTES = 64
 
 #: Whole-device advances timed per kernel in the aging microbench.
 _AGING_REPS = 20
@@ -94,6 +112,36 @@ def _time_measurements(measure_raw, tdc, theta, reps):
     for _ in range(reps):
         measure_raw(tdc, theta)
     return (perf_counter() - start) / reps
+
+
+def _bank_inputs():
+    """One calibrated 64-route board and one ``measure_bank``'s draws.
+
+    Returns ``resolve_bank``'s arguments: the TDCs, their theta_init and
+    the ``(routes, 2, traces, samples[, chain])`` times and uniforms.
+    """
+    device = FpgaDevice(ZYNQ_ULTRASCALE_PLUS, seed=21)
+    routes = build_route_bank(
+        device.grid, [1000.0, 2000.0, 5000.0, 3000.0] * (_BANK_ROUTES // 4)
+    )
+    design = build_measure_design(device.part, routes)
+    device.load(design.bitstream)
+    session = design.attach(device, noise=CLOUD_NOISE, seed=1)
+    session.calibrate()
+    tdcs = [session._tdcs[name] for name in session.route_names]
+    thetas = [session.theta_init[name] for name in session.route_names]
+    draws = [tdc.measure_draws(theta) for tdc, theta in zip(tdcs, thetas)]
+    times = np.stack([d[1] for d in draws])
+    uniforms = np.stack([d[2] for d in draws])
+    return tdcs, thetas, times, uniforms
+
+
+def _time_resolves(resolve, inputs, reps):
+    resolve(*inputs)  # warm caches and the allocator
+    start = perf_counter()
+    for _ in range(reps):
+        result = resolve(*inputs)
+    return (perf_counter() - start) / reps, result
 
 
 def _build_aging_device(device_cls):
@@ -211,6 +259,20 @@ def test_bench_perf(emit):
          f"({micro_speedup:.1f}x, "
          f"{words_per_measurement / batched_s:,.0f} words/s)")
 
+    bank_inputs = _bank_inputs()
+    bank_dense_s, dense_measurements = _time_resolves(
+        resolve_bank_dense, bank_inputs, _BANK_REPS
+    )
+    bank_sparse_s, sparse_measurements = _time_resolves(
+        resolve_bank, bank_inputs, _BANK_REPS
+    )
+    bank_speedup = bank_dense_s / bank_sparse_s
+    bank_words = bank_inputs[2].size  # one time per capture word
+    emit(f"bank ({len(bank_inputs[0])} routes): "
+         f"dense {bank_dense_s * 1e3:.2f} ms/resolve, "
+         f"sparse {bank_sparse_s * 1e3:.2f} ms/resolve "
+         f"({bank_speedup:.1f}x, {bank_words / bank_sparse_s:,.0f} words/s)")
+
     scalar_device = _build_aging_device(ScalarAgingDevice)
     array_device = _build_aging_device(FpgaDevice)
     aging_segments = array_device.materialised_segments
@@ -305,6 +367,14 @@ def test_bench_perf(emit):
                 words_per_measurement / batched_s
             ),
         },
+        "bank_microbench": {
+            "routes": len(bank_inputs[0]),
+            "dense_seconds_per_resolve": round(bank_dense_s, 6),
+            "sparse_seconds_per_resolve": round(bank_sparse_s, 6),
+            "speedup": round(bank_speedup, 2),
+            "sparse_words_per_second": round(bank_words / bank_sparse_s),
+            "measurements_equal": sparse_measurements == dense_measurements,
+        },
         "aging_microbench": {
             "segments": aging_segments,
             "scalar_seconds_per_advance": round(aging_scalar_s, 6),
@@ -375,6 +445,8 @@ def test_bench_perf(emit):
     # reference paths, sharding must not change the statistics, and the
     # kernels must agree on recovery for the fixed default seeds.
     assert micro_speedup >= 1.0
+    assert sparse_measurements == dense_measurements
+    assert bank_speedup >= 1.0
     assert aging_speedup > 1.0
     assert aging_segments >= 1000
     assert e2e_speedup >= 1.0

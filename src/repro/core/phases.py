@@ -40,7 +40,7 @@ def measure_with_recovery(
     either never calibrated (an unrecovered glitch upstream) or dropped
     past the retry budget.  Callers degrade per-route: the failed
     routes simply contribute no point this pass.  The whole board is
-    one stacked capture call with per-route retry/degradation.
+    one bank-level capture call with per-route retry/degradation.
     """
     measurements, dropped = session.measure_bank(recover=True)
     if dropped:

@@ -18,6 +18,8 @@ from dataclasses import dataclass, field
 from time import perf_counter
 from typing import Sequence
 
+import numpy as np
+
 from repro.errors import (
     CalibrationGlitchError,
     ConfigurationError,
@@ -36,10 +38,15 @@ from repro.fabric.placement import FixedPlacer
 from repro.fabric.routing import Route
 from repro.reliability.faults import maybe_inject
 from repro.rng import SeedLike, make_rng
-from repro.sensor.bank import RouteDraws, resolve_bank
+from repro.sensor.bank import resolve_bank
 from repro.sensor.calibration import find_theta_init_bank
 from repro.sensor.noise import CLOUD_NOISE, NoiseModel
-from repro.sensor.tdc import Measurement, TunableDualPolarityTdc
+from repro.sensor.tdc import (
+    TRACES_PER_MEASUREMENT,
+    Measurement,
+    TunableDualPolarityTdc,
+)
+from repro.sensor.trace import SAMPLES_PER_TRACE
 
 #: CARRY8 primitives per 64-element chain (eight 8-bit carries).
 _CARRIES_PER_CHAIN = 8
@@ -110,8 +117,8 @@ class MeasureSession:
     def calibrate(self) -> dict[str, float]:
         """The Calibration phase: find and store theta_init per route.
 
-        Runs every route's descent in lockstep, one stacked resolve per
-        probe round.  Mirrors a per-route :func:`find_theta_init` loop's
+        Runs every route's descent in lockstep, one bank-level probe per
+        round.  Mirrors a per-route :func:`find_theta_init` loop's
         observable behaviour exactly: the glitch fault site fires (and
         retries) per route in bank order before any probe, glitched
         routes degrade to uncalibrated, and the lockstep scan over the
@@ -191,12 +198,14 @@ class MeasureSession:
     def measure_bank(
         self, recover: bool = False
     ) -> tuple[dict[str, Measurement], list[str]]:
-        """Measure every calibrated route in one stacked kernel call.
+        """Measure every calibrated route with one bank-level resolve.
 
         Materialises each route's measurement draws sequentially in bank
         order -- the identical generator consumption of a
-        :meth:`measure_route` loop -- then resolves the whole board as
-        one ``(routes, traces, samples, chain)`` tensor per polarity.
+        :meth:`measure_route` loop -- into one ``(routes, 2, traces,
+        samples, chain)`` uniform tensor allocated per call, then
+        resolves the whole board with one
+        :func:`~repro.sensor.bank.resolve_bank` call.
 
         With ``recover=False`` (the :meth:`measure_all` contract) an
         uncalibrated route raises :class:`SensorError` and a capture
@@ -206,7 +215,15 @@ class MeasureSession:
         list instead.  Returns ``(measurements, dropped)``.
         """
         start = perf_counter()
-        ordered: list[tuple[str, TunableDualPolarityTdc, RouteDraws]] = []
+        # One board-wide uniform tensor per call, filled route by route.
+        # Rows are packed in bank order; dropped routes leave no gap.
+        uniforms = np.empty((
+            len(self.routes), 2, TRACES_PER_MEASUREMENT, SAMPLES_PER_TRACE,
+            self.device.part.tdc_chain_length,
+        ))
+        times = np.empty(uniforms.shape[:-1])
+        tdcs: list[TunableDualPolarityTdc] = []
+        thetas: list[float] = []
         dropped: list[str] = []
         with trace.span("sensor.capture", routes=len(self.routes)):
             for name in self.route_names:
@@ -220,26 +237,26 @@ class MeasureSession:
                     continue
                 tdc = self._tdcs[name]
                 theta = self.theta_init[name]
+                row = len(tdcs)
                 try:
                     if recover:
-                        thetas, times, uniforms = retry_call(
-                            tdc.measure_draws, theta,
+                        _, times[row], _ = retry_call(
+                            tdc.measure_draws, theta, out=uniforms[row],
                             label=f"sensor.capture:{name}",
                         )
                     else:
-                        thetas, times, uniforms = tdc.measure_draws(theta)
+                        _, times[row], _ = tdc.measure_draws(
+                            theta, out=uniforms[row]
+                        )
                 except TransientError:
                     if not recover:
                         raise
                     dropped.append(name)
                     continue
-                ordered.append((name, tdc, RouteDraws(
-                    name=name, theta_init_ps=theta,
-                    times=times, uniforms=uniforms,
-                )))
+                tdcs.append(tdc)
+                thetas.append(theta)
             measurements = resolve_bank(
-                [tdc for _, tdc, _ in ordered],
-                [draws for _, _, draws in ordered],
+                tdcs, thetas, times[:len(tdcs)], uniforms[:len(tdcs)]
             )
         elapsed = perf_counter() - start
         if measurements:

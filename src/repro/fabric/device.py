@@ -38,8 +38,9 @@ materialisation, same numpy transcendentals in the kinetics).
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass
-from typing import Optional
+import weakref
+from dataclasses import dataclass, replace
+from typing import NamedTuple, Optional
 
 import numpy as np
 
@@ -85,10 +86,9 @@ class DeviceInfo:
 class _ActivityGroups:
     """Segment indices of one loaded design, grouped by activity class.
 
-    Rebuilt (and cached) per (loaded design, materialised-segment
-    count); the per-interval scalars (duration, junction temperature,
-    age, voltage) are *not* part of the grouping, so the cache survives
-    across intervals of a burn schedule.
+    The per-interval scalars (duration, junction temperature, age,
+    voltage) are *not* part of the grouping, so one grouping serves
+    every interval of a burn schedule.
     """
 
     static_one: np.ndarray
@@ -97,6 +97,67 @@ class _ActivityGroups:
     toggling_duty_high: np.ndarray
     #: Floating-net segments plus every materialised undriven segment.
     idle: np.ndarray
+
+
+class _DesignSlots(NamedTuple):
+    """One design's routed slots on one device.
+
+    ``routed`` (built on the design's first regroup) holds the routed
+    nets' slots by activity class, with ``idle`` holding only the
+    floating nets; ``driven`` is every routed slot, sorted.  Neither
+    depends on which other segments are materialised, so they outlive
+    every load of the design.
+    """
+
+    routed: Optional[_ActivityGroups] = None
+    driven: Optional[np.ndarray] = None
+
+
+_NO_SLOTS = np.empty(0, dtype=np.intp)
+
+#: The routed slots of "no design loaded": nothing is driven.
+_NO_DESIGN = _DesignSlots(
+    routed=_ActivityGroups(
+        static_one=_NO_SLOTS, static_zero=_NO_SLOTS, toggling=_NO_SLOTS,
+        toggling_duty_high=np.empty(0), idle=_NO_SLOTS,
+    ),
+    driven=_NO_SLOTS,
+)
+
+
+class _IdentityCache:
+    """Values keyed by object identity, each living only as long as its key.
+
+    Every entry holds a weak reference to its key whose callback drops
+    the entry while the key is being freed -- before its ``id`` can be
+    handed to a new object.  The cache therefore never keeps a key
+    alive and never serves a dead key's value.
+    """
+
+    def __init__(self) -> None:
+        self._entries: dict[int, tuple[weakref.ref, object]] = {}
+
+    def __len__(self) -> int:
+        return len(self._entries)
+
+    def __contains__(self, key: object) -> bool:
+        return id(key) in self._entries
+
+    def get(self, key: object):
+        entry = self._entries.get(id(key))
+        return None if entry is None else entry[1]
+
+    def put(self, key: object, value: object) -> None:
+        ident = id(key)
+        # The callback holds the cache weakly: no entry keeps it alive.
+        owner = weakref.ref(self)
+
+        def evict(_ref: weakref.ref) -> None:
+            cache = owner()
+            if cache is not None:
+                cache._entries.pop(ident, None)
+
+        self._entries[ident] = (weakref.ref(key, evict), value)
 
 
 class FpgaDevice:
@@ -131,6 +192,8 @@ class FpgaDevice:
         self._groups: Optional[_ActivityGroups] = None
         self._groups_loaded: Optional[Bitstream] = None
         self._groups_count: int = -1
+        # Per-design slot cache; entries die with their key.
+        self._designs = _IdentityCache()
         self._loaded: Optional[Bitstream] = None
         self._ambient_k: float = 308.15  # 35 C until an environment says otherwise
         # Lazy aging: the bound region timeline and this device's
@@ -213,7 +276,9 @@ class FpgaDevice:
 
         Touching every routed segment here materialises its analog state,
         so the first load on a worn device also realises the residual
-        imprints of its unobserved history.
+        imprints of its unobserved history.  Segments never
+        dematerialise, so reloading a design this device has seen skips
+        the walk.
         """
         self.sync()
         if self._loaded is not None:
@@ -221,9 +286,11 @@ class FpgaDevice:
                 f"device {self.device_id} already has "
                 f"{self._loaded.name!r} loaded; wipe first"
             )
-        for net in bitstream.netlist.routed_nets():
-            for segment_id in net.route:
-                self.segment_state(segment_id)
+        if bitstream not in self._designs:
+            for net in bitstream.netlist.routed_nets():
+                for segment_id in net.route:
+                    self.segment_state(segment_id)
+            self._designs.put(bitstream, _DesignSlots())
         self._loaded = bitstream
 
     def wipe(self) -> None:
@@ -405,53 +472,77 @@ class FpgaDevice:
 
         The cache key is (loaded design, materialised-segment count):
         loading, wiping, or materialising a new segment invalidates it;
-        advancing time does not.
+        advancing time does not.  A rebuild reuses the design's cached
+        routed slots (:class:`_DesignSlots`), so only the undriven part
+        of the idle group is recomputed.
         """
+        design = self._loaded
         if (
             self._groups is not None
-            and self._groups_loaded is self._loaded
+            and self._groups_loaded is design
             and self._groups_count == len(self._array_index)
         ):
             return self._groups
+        slots = _NO_DESIGN if design is None else self._design_slots(design)
+        # Own slots only: under a shared fleet store this device's
+        # indices are an arbitrary block, not range(len(...)).
+        own = np.fromiter(self._array_index.values(), dtype=np.intp,
+                          count=len(self._array_index))
+        driven = slots.driven
+        if driven.size:
+            # ``driven`` is sorted: a slot is driven iff the entry it
+            # would insert before is itself.
+            at = np.minimum(np.searchsorted(driven, own), driven.size - 1)
+            own = own[driven[at] != own]
+        floating = slots.routed.idle
+        # Most regroups have no floating nets to prepend (every board
+        # without a design): skip the copy.
+        self._groups = replace(
+            slots.routed,
+            idle=np.concatenate([floating, own]) if floating.size else own,
+        )
+        # Keyed after the build: materialising the design's own segments
+        # above grows the index map, and the key must reflect that.
+        self._groups_loaded = design
+        self._groups_count = len(self._array_index)
+        return self._groups
+
+    def _design_slots(self, design: Bitstream) -> _DesignSlots:
+        """A design's routed slots on this device, built once per design."""
+        entry = self._designs.get(design)
+        if entry is not None and entry.routed is not None:
+            return entry
         static_one: list[int] = []
         static_zero: list[int] = []
         toggling: list[int] = []
         duty_high: list[float] = []
         floating: list[int] = []
-        driven: set[int] = set()
-        if self._loaded is not None:
-            for net in self._loaded.netlist.routed_nets():
-                indices = [self._segment_index(s) for s in net.route]
-                if net.activity is NetActivity.STATIC:
-                    target = (
-                        static_one if int(net.static_value) == 1 else static_zero
-                    )
-                    target.extend(indices)
-                elif net.activity is NetActivity.TOGGLING:
-                    toggling.extend(indices)
-                    duty_high.extend([net.duty_high] * len(indices))
-                else:
-                    floating.extend(indices)
-                driven.update(indices)
-        # Own slots only: under a shared fleet store this device's
-        # indices are an arbitrary block, not range(len(...)).  For a
-        # private store the two spellings are identical (insertion
-        # order is 0..n-1).
-        idle = floating + [
-            i for i in self._array_index.values() if i not in driven
-        ]
-        self._groups = _ActivityGroups(
+        for net in design.netlist.routed_nets():
+            indices = [self._segment_index(s) for s in net.route]
+            if net.activity is NetActivity.STATIC:
+                target = (
+                    static_one if int(net.static_value) == 1 else static_zero
+                )
+                target.extend(indices)
+            elif net.activity is NetActivity.TOGGLING:
+                toggling.extend(indices)
+                duty_high.extend([net.duty_high] * len(indices))
+            else:
+                floating.extend(indices)
+        routed = _ActivityGroups(
             static_one=np.asarray(static_one, dtype=np.intp),
             static_zero=np.asarray(static_zero, dtype=np.intp),
             toggling=np.asarray(toggling, dtype=np.intp),
             toggling_duty_high=np.asarray(duty_high, dtype=float),
-            idle=np.asarray(idle, dtype=np.intp),
+            idle=np.asarray(floating, dtype=np.intp),
         )
-        # Keyed after the build: materialising the design's own segments
-        # above grows the index map, and the key must reflect that.
-        self._groups_loaded = self._loaded
-        self._groups_count = len(self._array_index)
-        return self._groups
+        driven = np.sort(np.concatenate([
+            routed.static_one, routed.static_zero, routed.toggling,
+            routed.idle,
+        ]))
+        entry = _DesignSlots(routed, driven)
+        self._designs.put(design, entry)
+        return entry
 
     # ------------------------------------------------------------------
     # Delay queries (used only by on-fabric sensors)

@@ -1,10 +1,8 @@
 """Bank-level capture: every route of a board in one kernel call.
 
-PR 2 batched the *trace* axes -- one ``(traces, samples, chain)`` tensor
-per polarity per route.  This module adds the *routes* axis on top: a
-board's whole measurement bank resolves as one ``(routes, traces,
-samples, chain)`` boolean tensor per polarity, and a calibration round
-probes every still-searching route with one stacked resolve.
+A board's whole measurement bank resolves as one ``(routes, 2, traces,
+samples)`` array of Binary Hamming Distances, and a calibration round
+probes every still-searching route in one call.
 
 The RNG discipline that makes this bit-identical to the per-route path:
 each route owns an independent generator stream (spawned per route by
@@ -12,84 +10,81 @@ each route owns an independent generator stream (spawned per route by
 materialise each route's draws *sequentially, in bank order* via
 :meth:`~repro.sensor.tdc.TunableDualPolarityTdc.capture_draws` /
 ``measure_draws`` -- exactly the draws the per-route loop would make --
-then stack the pre-drawn times and uniforms and resolve them in one
-broadcast comparison.  Batching therefore changes where the arithmetic
-happens, never which random numbers feed it.
+straight into one board-wide ``(routes, 2, traces, samples, chain)``
+uniform tensor.  The resolve then never forms a capture word: the paper's
+procedure consumes only each word's distance, and
+:func:`~repro.sensor.capture.resolve_distances` computes it from the
+(at most two) taps at the wavefront.  Batching therefore changes
+where the arithmetic happens, never which random numbers feed it.
+
+:func:`~repro.sensor.capture.resolve_words` and
+:func:`~repro.sensor.postprocess.bank_trace_mean_distances` are
+re-exported here as the dense raw-word form of the same resolve (one
+boolean per tap, then a Hamming pass); the test oracle builds on them.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import Sequence
 
 import numpy as np
 
 from repro.observability.metrics import registry
-from repro.sensor.capture import resolve_words
+from repro.sensor.capture import resolve_distances, resolve_words
 from repro.sensor.carry_chain import bank_wavefront_positions
 from repro.sensor.postprocess import bank_trace_mean_distances
 from repro.sensor.tdc import Measurement, TunableDualPolarityTdc
 from repro.sensor.trace import SAMPLES_PER_TRACE, Polarity
 
+__all__ = [
+    "bank_trace_mean_distances",
+    "bank_wavefront_positions",
+    "probe_bank",
+    "resolve_bank",
+    "resolve_words",
+]
 
-@dataclass(frozen=True)
-class RouteDraws:
-    """One route's pre-materialised measurement randomness.
 
-    ``times`` is ``(2, traces, samples)`` and ``uniforms`` ``(2, traces,
-    samples, chain)``, axis 0 ordered (rising, falling) -- the output of
-    :meth:`TunableDualPolarityTdc.measure_draws`.
-    """
-
-    name: str
-    theta_init_ps: float
-    times: np.ndarray
-    uniforms: np.ndarray
+def _count_words(words: int) -> None:
+    registry.counter(
+        "capture_words_total",
+        "capture words computed by the batched kernel",
+    ).inc(words)
 
 
 def resolve_bank(
     tdcs: Sequence[TunableDualPolarityTdc],
-    draws: Sequence[RouteDraws],
+    thetas_init_ps: Sequence[float],
+    times: np.ndarray,
+    uniforms: np.ndarray,
 ) -> dict[str, Measurement]:
-    """Resolve a bank of pre-drawn measurements in one stacked kernel.
+    """Reduce a bank of pre-drawn measurements to one per route.
 
-    Stacks every route's times/uniforms into ``(routes, 2, traces,
-    samples[, chain])`` tensors, resolves wavefront positions against
-    the per-route chain boundaries in one call, and reduces to one
-    :class:`Measurement` per route.  Each route's words and means agree
-    bit for bit with ``measure_raw`` on that route alone.
+    ``times`` is ``(routes, 2, traces, samples)`` and ``uniforms``
+    ``(routes, 2, traces, samples, chain)``, axis 1 ordered (rising,
+    falling) -- row ``r`` holds ``tdcs[r].measure_draws`` at
+    ``thetas_init_ps[r]``.  Wavefront positions resolve against the
+    per-route chain boundaries in one call, each word reduces straight
+    to its distance, and each route's means agree bit for bit with
+    ``measure_raw`` on that route alone.
     """
-    if not draws:
+    if not tdcs:
         return {}
-    times = np.stack([d.times for d in draws])
-    uniforms = np.stack([d.uniforms for d in draws])
-    chains = [tdc.chain for tdc in tdcs]
-    positions = bank_wavefront_positions(chains, np.maximum(times, 0.0))
-    rising_words = resolve_words(
-        positions[:, 0], uniforms[:, 0], Polarity.RISING
+    positions = bank_wavefront_positions(
+        [tdc.chain for tdc in tdcs], np.maximum(times, 0.0)
     )
-    falling_words = resolve_words(
-        positions[:, 1], uniforms[:, 1], Polarity.FALLING
-    )
-    rising_means = bank_trace_mean_distances(
-        rising_words, Polarity.RISING
-    ).mean(axis=-1)
-    falling_means = bank_trace_mean_distances(
-        falling_words, Polarity.FALLING
-    ).mean(axis=-1)
-    registry.counter(
-        "capture_words_total",
-        "capture words computed by the batched kernel",
-    ).inc(2 * times.shape[0] * times.shape[2] * times.shape[3])
+    # Mean over samples within a trace, then over traces: the paper's
+    # reduction order, and measure_raw's.
+    means = resolve_distances(positions, uniforms).mean(axis=-1).mean(axis=-1)
+    _count_words(2 * times.shape[0] * times.shape[2] * times.shape[3])
     measurements: dict[str, Measurement] = {}
-    for tdc, d, rising, falling in zip(
-        tdcs, draws, rising_means, falling_means
-    ):
+    for tdc, theta, (rising, falling) in zip(tdcs, thetas_init_ps, means):
         rising = float(rising)
         falling = float(falling)
-        measurements[d.name] = Measurement(
-            route_name=d.name,
-            theta_init_ps=d.theta_init_ps,
+        name = tdc.route.name
+        measurements[name] = Measurement(
+            route_name=name,
+            theta_init_ps=theta,
             rising_distance=rising,
             falling_distance=falling,
             delta_ps=(rising - falling) * tdc.chain.nominal_bin_ps,
@@ -110,35 +105,17 @@ def probe_bank(
     resolves together.  Returns ``(rising_means, falling_means)``, the
     per-route mean propagation distances in chain elements.
     """
-    times_rows = []
-    uniform_rows = []
-    for tdc, theta in zip(tdcs, thetas_ps):
-        rising_times, rising_uniforms = tdc.capture_draws(
-            [theta], Polarity.RISING, samples
-        )
-        falling_times, falling_uniforms = tdc.capture_draws(
-            [theta], Polarity.FALLING, samples
-        )
-        times_rows.append(np.stack([rising_times, falling_times]))
-        uniform_rows.append(np.stack([rising_uniforms, falling_uniforms]))
-    times = np.stack(times_rows)
-    uniforms = np.stack(uniform_rows)
-    chains = [tdc.chain for tdc in tdcs]
-    positions = bank_wavefront_positions(chains, np.maximum(times, 0.0))
-    rising_words = resolve_words(
-        positions[:, 0], uniforms[:, 0], Polarity.RISING
+    routes = len(tdcs)
+    times = np.empty((routes, 2, 1, samples))
+    uniforms = np.empty((routes, 2, 1, samples, tdcs[0].chain_length))
+    for row, (tdc, theta) in enumerate(zip(tdcs, thetas_ps)):
+        for axis, polarity in enumerate((Polarity.RISING, Polarity.FALLING)):
+            times[row, axis], _ = tdc.capture_draws(
+                [theta], polarity, samples, out=uniforms[row, axis]
+            )
+    positions = bank_wavefront_positions(
+        [tdc.chain for tdc in tdcs], np.maximum(times, 0.0)
     )
-    falling_words = resolve_words(
-        positions[:, 1], uniforms[:, 1], Polarity.FALLING
-    )
-    rising_means = bank_trace_mean_distances(
-        rising_words, Polarity.RISING
-    )[:, 0]
-    falling_means = bank_trace_mean_distances(
-        falling_words, Polarity.FALLING
-    )[:, 0]
-    registry.counter(
-        "capture_words_total",
-        "capture words computed by the batched kernel",
-    ).inc(2 * len(times_rows) * samples)
-    return rising_means, falling_means
+    means = resolve_distances(positions, uniforms)[:, :, 0].mean(axis=-1)
+    _count_words(2 * routes * samples)
+    return means[:, 0], means[:, 1]

@@ -221,7 +221,7 @@ def find_theta_init_bank(
 
     Runs every route's downward scan simultaneously: each round takes
     one probe per still-searching route at that route's own current
-    theta and resolves the whole round as one stacked tensor via
+    theta and resolves the whole round in one call to
     :func:`repro.sensor.bank.probe_bank`.  Each route owns an
     independent generator stream and its probe sequence (thetas, draw
     order, draw shapes) is exactly the sequence :func:`find_theta_init`

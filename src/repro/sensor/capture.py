@@ -9,14 +9,31 @@ small "bubble" regions visible in the paper's Figure 3 examples.
 
 from __future__ import annotations
 
+from typing import Optional
+
 import numpy as np
 
 from repro.errors import SensorError
 from repro.rng import SeedLike, make_rng
 from repro.sensor.trace import Polarity
 
+
+def _check_metastable_window(bins: float) -> float:
+    """Reject a metastable window wider than one bin.
+
+    :func:`resolve_distances` examines only taps ``floor(position)``
+    and ``floor(position) + 1``; that is exact only while every other
+    tap lies a full bin or more from the wavefront.
+    """
+    if not 0.0 < bins <= 1.0:
+        raise SensorError(
+            f"metastable window must be in (0, 1] bins, got {bins}"
+        )
+    return bins
+
+
 #: Registers within this many bins of the wavefront can resolve randomly.
-METASTABLE_WINDOW_BINS = 0.8
+METASTABLE_WINDOW_BINS = _check_metastable_window(0.8)
 
 
 def resolve_words(
@@ -25,10 +42,10 @@ def resolve_words(
     """Resolve wavefront positions against pre-drawn metastability uniforms.
 
     ``positions`` has any shape; ``uniforms`` appends the tap axis
-    (``positions.shape + (length,)``).  Separating the uniform draws
-    from the resolution lets bank-level kernels materialise each
-    route's RNG in sequential per-route order and still resolve the
-    whole ``(routes, traces, samples, chain)`` stack in one comparison.
+    (``positions.shape + (length,)``).  This is the raw-words path for
+    callers that keep the capture words (traces, archives); a caller
+    that needs only each word's Hamming distance uses
+    :func:`resolve_distances`.
     """
     length = uniforms.shape[-1]
     taps = np.arange(length, dtype=float)
@@ -41,6 +58,40 @@ def resolve_words(
     if polarity is Polarity.RISING:
         return resolved
     return ~resolved
+
+
+def resolve_distances(
+    positions: np.ndarray, uniforms: np.ndarray
+) -> np.ndarray:
+    """Binary Hamming distance of every word :func:`resolve_words` would
+    resolve, without resolving the words.
+
+    Both polarities give the same distance: a rising word counts its
+    ones, a falling word (the complement) its zeros, and either way that
+    is the number of taps whose uniform falls below their ``passed``
+    probability.  With a metastable window of at most one bin, every tap
+    below ``floor(p)`` is at least a bin behind the wavefront, so
+    ``passed == 1`` and any uniform in ``[0, 1)`` counts; every tap above
+    ``floor(p) + 1`` has ``passed == 0``.  Only the two candidate taps
+    ``floor(p)`` and ``floor(p) + 1`` need :func:`resolve_words`'s exact
+    comparison -- O(words) work instead of O(words x taps).  Returns
+    integer distances of ``positions.shape``.
+    """
+    positions = np.asarray(positions, dtype=float)
+    length = uniforms.shape[-1]
+    floor = np.floor(positions).astype(np.intp)
+    distances = np.clip(floor, 0, length)
+    word_offsets = np.arange(positions.size).reshape(positions.shape) * length
+    flat = uniforms.reshape(-1)
+    for offset in (0, 1):
+        taps = floor + offset
+        inside = (taps >= 0) & (taps < length)
+        drawn = flat[word_offsets + np.clip(taps, 0, length - 1)]
+        passed = np.clip(
+            (positions - taps) / METASTABLE_WINDOW_BINS + 0.5, 0.0, 1.0
+        )
+        distances += inside & (drawn < passed)
+    return distances
 
 
 class CaptureBank:
@@ -74,15 +125,25 @@ class CaptureBank:
             return resolved
         return ~resolved
 
-    def draw_uniforms(self, shape: tuple) -> np.ndarray:
+    def draw_uniforms(
+        self, shape: tuple, out: Optional[np.ndarray] = None
+    ) -> np.ndarray:
         """Metastability uniforms for a batch, as one C-order draw.
 
         Consumes this bank's generator stream exactly as
-        :meth:`capture_batch` would for positions of ``shape``; the
-        bank-level kernels draw per route up front and resolve the
-        stacked tensor later via :func:`resolve_words`.
+        :meth:`capture_batch` would for positions of ``shape``.  With
+        ``out`` (C-contiguous, ``shape + (length,)``) the draw fills it
+        in place -- the same stream, no copy -- so a bank-level kernel
+        can draw every route straight into one shared tensor.
         """
-        return self._rng.random(tuple(shape) + (self.length,))
+        shape = tuple(shape) + (self.length,)
+        if out is None:
+            out = np.empty(shape)
+        elif out.shape != shape:
+            raise SensorError(
+                f"uniform buffer has shape {out.shape}, need {shape}"
+            )
+        return self._rng.random(out=out)
 
     def capture_batch(
         self, positions: np.ndarray, polarity: Polarity

@@ -103,12 +103,10 @@ def bank_wavefront_positions(
 
     ``times_in_chain_ps`` has shape ``(routes, ...)``; row ``r`` resolves
     against ``chains[r]``'s boundaries, and every element equals
-    ``chains[r].wavefront_positions(times[r])`` bit for bit: the index
-    lookup counts boundaries strictly below each time (exactly what the
-    per-chain ``searchsorted`` returns) and the interpolation arithmetic
-    is identical.  One broadcast comparison replaces the per-route loop,
-    so a board's full ``(routes, traces, samples)`` tensor resolves in a
-    single call.
+    ``chains[r].wavefront_positions(times[r])`` bit for bit: each row's
+    index lookup is that chain's own ``searchsorted`` (O(log length)
+    per time), and the interpolation arithmetic, run once over the whole
+    stack, is identical.
     """
     times = np.asarray(times_in_chain_ps, dtype=float)
     if times.ndim < 1 or times.shape[0] != len(chains):
@@ -122,18 +120,19 @@ def bank_wavefront_positions(
     if len(lengths) != 1:
         raise SensorError(f"bank chains must share a length, got {lengths}")
     length = lengths.pop()
+    index = np.empty(times.shape, dtype=np.intp)
+    for row, chain in enumerate(chains):
+        index[row] = np.searchsorted(chain._boundaries, times[row])
+    np.clip(index - 1, 0, length - 1, out=index)
     boundaries = np.stack([chain._boundaries for chain in chains])
-    shaped = boundaries.reshape(
-        (len(chains),) + (1,) * (times.ndim - 1) + (length + 1,)
+    row_offsets = (np.arange(len(chains)) * (length + 1)).reshape(
+        (len(chains),) + (1,) * (times.ndim - 1)
     )
-    index = np.clip(
-        (shaped < times[..., np.newaxis]).sum(axis=-1) - 1, 0, length - 1
-    )
-    full = np.broadcast_to(shaped, times.shape + (length + 1,))
-    lo = np.take_along_axis(full, index[..., np.newaxis], axis=-1)[..., 0]
-    hi = np.take_along_axis(full, index[..., np.newaxis] + 1, axis=-1)[..., 0]
+    flat = boundaries.reshape(-1)
+    lo = flat[row_offsets + index]
+    hi = flat[row_offsets + index + 1]
     fraction = (times - lo) / (hi - lo)
     positions = index + fraction
     positions = np.where(times <= 0.0, 0.0, positions)
-    totals = boundaries[:, -1].reshape((len(chains),) + (1,) * (times.ndim - 1))
+    totals = boundaries[:, -1].reshape(row_offsets.shape)
     return np.where(times >= totals, float(length), positions)

@@ -86,6 +86,7 @@ class TunableDualPolarityTdc:
         thetas_ps: Sequence[float],
         polarity: Polarity,
         samples: int = SAMPLES_PER_TRACE,
+        out: Optional[np.ndarray] = None,
     ) -> tuple[np.ndarray, np.ndarray]:
         """Materialise one capture batch's random inputs without resolving.
 
@@ -93,9 +94,10 @@ class TunableDualPolarityTdc:
         samples)`` and ``(len(thetas), samples, chain_length)``, consuming
         this TDC's generator stream in exactly the order
         :meth:`capture_words` does (jitter matrix, then metastability
-        uniforms).  Bank-level kernels call this per route, stack the
-        results, and resolve the whole board in one comparison -- so the
-        stacked path is bit-identical to the per-route batched path.
+        uniforms).  The uniforms are drawn into ``out`` when given (see
+        :meth:`~repro.sensor.capture.CaptureBank.draw_uniforms`), which
+        is how bank-level kernels fill one board-wide tensor route by
+        route -- the same draws the per-route batched path makes.
         """
         if samples <= 0:
             raise SensorError(f"samples must be positive, got {samples}")
@@ -107,7 +109,7 @@ class TunableDualPolarityTdc:
         arrival += offset if polarity is Polarity.FALLING else -offset
         jitter = self._noise.sample_jitter_matrix_ps((len(thetas), samples))
         times_in_chain = thetas[:, np.newaxis] - (arrival + jitter)
-        uniforms = self._bank.draw_uniforms((len(thetas), samples))
+        uniforms = self._bank.draw_uniforms((len(thetas), samples), out=out)
         return times_in_chain, uniforms
 
     def measure_draws(
@@ -115,6 +117,7 @@ class TunableDualPolarityTdc:
         theta_init_ps: float,
         traces: int = TRACES_PER_MEASUREMENT,
         samples: int = SAMPLES_PER_TRACE,
+        out: Optional[np.ndarray] = None,
     ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
         """Materialise one full measurement's random inputs per polarity.
 
@@ -122,10 +125,11 @@ class TunableDualPolarityTdc:
         injection check, noise epoch advance, rising then falling draws
         -- without resolving any words, so a bank-level measurement can
         consume each route's stream in sequential order and defer the
-        resolve to one stacked kernel call.  Returns ``(thetas, times,
+        resolve to one bank-level call.  Returns ``(thetas, times,
         uniforms)`` where ``times`` is ``(2, traces, samples)`` and
         ``uniforms`` ``(2, traces, samples, chain_length)``, axis 0
-        ordered (rising, falling).
+        ordered (rising, falling).  ``uniforms`` is ``out`` when given:
+        the draws land in place, one polarity per leading row.
         """
         maybe_inject(
             "sensor.capture", CaptureDropError,
@@ -134,16 +138,18 @@ class TunableDualPolarityTdc:
         )
         self._noise.advance_epoch()
         thetas = self.phase.steps_down(theta_init_ps, traces)
-        rising_times, rising_uniforms = self.capture_draws(
-            thetas, Polarity.RISING, samples
+        if out is None:
+            out = np.empty((2, traces, samples, self.chain_length))
+        rising_times, _ = self.capture_draws(
+            thetas, Polarity.RISING, samples, out=out[0]
         )
-        falling_times, falling_uniforms = self.capture_draws(
-            thetas, Polarity.FALLING, samples
+        falling_times, _ = self.capture_draws(
+            thetas, Polarity.FALLING, samples, out=out[1]
         )
         return (
             np.asarray(thetas, dtype=float),
             np.stack([rising_times, falling_times]),
-            np.stack([rising_uniforms, falling_uniforms]),
+            out,
         )
 
     def capture_words(

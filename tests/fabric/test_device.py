@@ -2,12 +2,16 @@
 vulnerability, so these are the most security-relevant invariants in the
 code base."""
 
+import gc
+
 import pytest
 
 from repro.errors import FabricError
 from repro.designs import build_route_bank, build_target_design
 from repro.fabric.device import FpgaDevice
 from repro.fabric.parts import VIRTEX_ULTRASCALE_PLUS, ZYNQ_ULTRASCALE_PLUS
+from repro.observability.metrics import registry
+from repro.physics.bti import SegmentBti
 from repro.physics.aging import CLOUD_PART, NEW_PART
 from repro.physics.pool_array import SegmentBtiArray
 from repro.cloud.fleet import build_fleet
@@ -166,6 +170,107 @@ class TestAgingKernelEquivalence:
             assert array_dev.route_delta_ps(ar) == scalar_dev.route_delta_ps(sr)
             assert (array_dev.transition_delays(ar)
                     == scalar_dev.transition_delays(sr))
+
+    @staticmethod
+    def _run_reload_history(device_cls, wear):
+        """Reloads of one bitstream, a load/wipe before any advance, a
+        segment materialised while a cached design is loaded, then a
+        second design over shared segments."""
+        device = device_cls(ZYNQ_ULTRASCALE_PLUS, wear=wear, seed=33)
+        routes = build_route_bank(
+            device.grid, [2000.0, 3000.0, 1500.0, 2500.0, 1000.0]
+        )
+        first = build_target_design(
+            device.part, routes[:3], [1, 0, 1], heater_dsps=2
+        )
+        second = build_target_design(
+            device.part, routes[1:4], [0, 1, 1], heater_dsps=0,
+            name="tenant-2",
+        )
+        device.load(second.bitstream)
+        device.wipe()
+        for hours in (6.0, 12.0, 3.0):
+            device.load(first.bitstream)
+            device.advance_hours(hours, AMBIENT)
+            if hours == 12.0:
+                # Materialise an undriven route mid-tenancy: the cached
+                # grouping must pick it up as idle.
+                device.route_delta_ps(routes[4])
+                device.advance_hours(2.0, AMBIENT + 5.0)
+            device.wipe()
+            device.advance_hours(1.0, AMBIENT)
+        device.load(second.bitstream)
+        device.advance_hours(10.0, AMBIENT)
+        device.wipe()
+        device.load(first.bitstream)
+        device.advance_hours(4.0, AMBIENT)
+        return device, routes
+
+    @pytest.mark.parametrize("wear", [NEW_PART, CLOUD_PART],
+                             ids=["new", "cloud"])
+    def test_kernels_bit_identical_across_reloads(self, wear, monkeypatch):
+        scalar_updates = []
+        for name in ("hold", "toggle", "idle"):
+            original = getattr(SegmentBti, name)
+
+            def counted(self, *args, _original=original, _name=name,
+                        **kwargs):
+                scalar_updates.append(_name)
+                return _original(self, *args, **kwargs)
+
+            monkeypatch.setattr(SegmentBti, name, counted)
+        scalar_dev, scalar_routes = self._run_reload_history(
+            ScalarAgingDevice, wear
+        )
+        array_dev, array_routes = self._run_reload_history(FpgaDevice, wear)
+        for sr, ar in zip(scalar_routes, array_routes):
+            assert array_dev.route_delta_ps(ar) == scalar_dev.route_delta_ps(sr)
+            assert (array_dev.transition_delays(ar)
+                    == scalar_dev.transition_delays(sr))
+        # The cached groups update exactly the segments the walker does,
+        # interval by interval.
+        assert registry.counter("aging_segment_updates_total").value == (
+            len(scalar_updates)
+        )
+
+    def test_reload_skips_the_segment_walk(self, monkeypatch):
+        device, _ = conditioned_device()
+        design = device.loaded_design
+        device.wipe()
+        device.advance_hours(1.0, AMBIENT)
+        touched = []
+        for name in ("_segment_index", "segment_state"):
+            original = getattr(device, name)
+
+            def counted(segment_id, _original=original, _name=name):
+                touched.append(_name)
+                return _original(segment_id)
+
+            monkeypatch.setattr(device, name, counted)
+        device.load(design)
+        device.advance_hours(2.0, AMBIENT)
+        assert touched == []
+
+    def test_design_cache_holds_only_live_designs(self):
+        device = FpgaDevice(ZYNQ_ULTRASCALE_PLUS, wear=NEW_PART, seed=5)
+        routes = build_route_bank(device.grid, [2000.0, 3000.0])
+        kept = build_target_design(device.part, routes, [1, 1],
+                                   heater_dsps=0, name="kept")
+        device.load(kept.bitstream)
+        device.advance_hours(1.0, AMBIENT)
+        device.wipe()
+        for i in range(20):
+            design = build_target_design(device.part, routes, [i % 2, 0],
+                                         heater_dsps=0, name=f"tenant-{i}")
+            device.load(design.bitstream)
+            device.advance_hours(1.0, AMBIENT)
+            device.wipe()
+            del design
+        gc.collect()
+        # The kept design and at most the last tenant (still referenced
+        # by the grouping key) remain; the other 19 were evicted.
+        assert kept.bitstream in device._designs
+        assert len(device._designs) <= 2
 
     def test_kernel_resolved_at_construction(self):
         with reference_engines("aging"):

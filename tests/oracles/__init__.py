@@ -5,8 +5,8 @@ lockstep calibration, structure-of-arrays aging and lazy provider
 aging.  The implementations they replaced live here, test-only, as
 oracles the equivalence suite and the benchmarks pin them against:
 
-* :mod:`tests.oracles.capture` -- per-word capture and the per-route
-  measurement loop;
+* :mod:`tests.oracles.capture` -- per-word capture, the per-route
+  measurement loop and the dense (every-tap) bank resolve;
 * :mod:`tests.oracles.calibration` -- the sequential per-route scan;
 * :mod:`tests.oracles.aging` -- :class:`ScalarAgingDevice`, one
   ``SegmentBti`` object per segment;
@@ -38,6 +38,7 @@ from tests.oracles.capture import (
     capture_trace_scalar,
     measure_bank_sequential,
     measure_raw_scalar,
+    resolve_bank_dense,
     sample_word,
 )
 from tests.oracles.provider import EagerCloudProvider
@@ -130,5 +131,6 @@ __all__ = [
     "measure_bank_sequential",
     "measure_raw_scalar",
     "reference_engines",
+    "resolve_bank_dense",
     "sample_word",
 ]

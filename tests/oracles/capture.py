@@ -16,10 +16,16 @@ kept so the equivalence suite can pin the batched engine against them:
   identically distributed noise.
 
 Each function takes the TDC (or session) as its first argument, so
-:func:`tests.oracles.reference_engines` can install it as a method.
+:func:`tests.oracles.reference_engines` can install it as a method --
+except :func:`resolve_bank_dense`, the dense form of
+:func:`repro.sensor.bank.resolve_bank` (one boolean per tap, then a
+Hamming pass), which the equivalence suite and the bank microbench
+call directly.
 """
 
 from __future__ import annotations
+
+from typing import Sequence
 
 import numpy as np
 
@@ -27,6 +33,11 @@ from repro.designs.measure import MeasureSession
 from repro.errors import CaptureDropError, SensorError, TransientError
 from repro.reliability.faults import maybe_inject
 from repro.reliability.retry import retry_call
+from repro.sensor.bank import (
+    bank_trace_mean_distances,
+    bank_wavefront_positions,
+    resolve_words,
+)
 from repro.sensor.postprocess import batch_trace_mean_distances
 from repro.sensor.tdc import (
     TRACES_PER_MEASUREMENT,
@@ -136,3 +147,40 @@ def measure_bank_sequential(
         except TransientError:
             dropped.append(name)
     return measurements, dropped
+
+
+def resolve_bank_dense(
+    tdcs: Sequence[TunableDualPolarityTdc],
+    thetas_init_ps: Sequence[float],
+    times: np.ndarray,
+    uniforms: np.ndarray,
+) -> dict[str, Measurement]:
+    """:func:`repro.sensor.bank.resolve_bank` through the raw words.
+
+    Resolves every tap of every word as a ``(routes, traces, samples,
+    chain)`` boolean tensor per polarity, then reduces each word by
+    counting -- the O(words x taps) resolve the sparse closed form
+    replaced.
+    """
+    positions = bank_wavefront_positions(
+        [tdc.chain for tdc in tdcs], np.maximum(times, 0.0)
+    )
+    means = [
+        bank_trace_mean_distances(
+            resolve_words(positions[:, axis], uniforms[:, axis], polarity),
+            polarity,
+        ).mean(axis=-1)
+        for axis, polarity in enumerate((Polarity.RISING, Polarity.FALLING))
+    ]
+    measurements: dict[str, Measurement] = {}
+    for tdc, theta, rising, falling in zip(tdcs, thetas_init_ps, *means):
+        rising = float(rising)
+        falling = float(falling)
+        measurements[tdc.route.name] = Measurement(
+            route_name=tdc.route.name,
+            theta_init_ps=theta,
+            rising_distance=rising,
+            falling_distance=falling,
+            delta_ps=(rising - falling) * tdc.chain.nominal_bin_ps,
+        )
+    return measurements

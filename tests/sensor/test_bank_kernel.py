@@ -35,6 +35,7 @@ from repro.sensor.calibration import (
     find_theta_init_bank,
     get_calibration_kernel,
 )
+from repro.sensor.bank import resolve_bank
 from repro.sensor.carry_chain import CarryChain, bank_wavefront_positions
 from repro.sensor.clocking import PhaseGenerator
 from repro.sensor.noise import CLOUD_NOISE, LAB_NOISE, NoiseModel
@@ -44,7 +45,11 @@ from repro.sensor.postprocess import (
 )
 from repro.sensor.tdc import TunableDualPolarityTdc
 from repro.sensor.trace import Polarity
-from tests.oracles import calibrate_sequential, reference_engines
+from tests.oracles import (
+    calibrate_sequential,
+    reference_engines,
+    resolve_bank_dense,
+)
 
 QUIET = NoiseModel(jitter_ps=0.0, polarity_offset_sigma_ps=0.0,
                    offset_correlation=0.0)
@@ -173,6 +178,25 @@ class TestBankPrimitives:
             np.testing.assert_array_equal(
                 stacked[i], chain.wavefront_positions(times[i])
             )
+
+    @pytest.mark.parametrize("traces,samples", [(10, 16), (3, 5), (7, 1)])
+    def test_sparse_resolve_matches_dense_oracle(self, traces, samples):
+        """resolve_bank == the every-tap resolve, for reduction shapes
+        whose means round and for wavefronts off both chain ends."""
+        session = make_session(5, noise=CLOUD_NOISE)
+        session.calibrate()
+        tdcs = [session._tdcs[name] for name in session.route_names]
+        # Centred, before the chain and past it.
+        thetas = [session.theta_init[name] + shift
+                  for name, shift in zip(session.route_names,
+                                         (0.0, -400.0, 400.0, 1.4))]
+        draws = [tdc.measure_draws(theta, traces, samples)
+                 for tdc, theta in zip(tdcs, thetas)]
+        times = np.stack([d[1] for d in draws])
+        uniforms = np.stack([d[2] for d in draws])
+        assert resolve_bank(tdcs, thetas, times, uniforms) == (
+            resolve_bank_dense(tdcs, thetas, times, uniforms)
+        )
 
     def test_bank_wavefront_shape_mismatch_rejected(self):
         chains = [CarryChain(length=64, nominal_bin_ps=2.8, seed=7)]
