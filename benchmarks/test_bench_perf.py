@@ -23,9 +23,9 @@ Eight phases, written to ``BENCH_perf.json`` at the repo root:
   must reproduce the sequential scan's recovery accuracy *exactly*
   (that axis is bit-identical even with jitter, unlike the capture
   kernel's matrix-first jitter draws);
-* **sweep sharding** -- ``experiment_sweep(jobs=N)`` vs sequential over
-  shared-memory result arrays, with the bit-identical-result invariant
-  checked.  On single-CPU runners ``resolve_jobs`` clamps the request
+* **sweep sharding** -- ``experiment_sweep(jobs=N)`` vs sequential, each
+  worker returning its seed's outcome through the pool's result
+  channel, with the bit-identical-result invariant checked.  On single-CPU runners ``resolve_jobs`` clamps the request
   down to the sequential path; the bench then *skips* the speedup
   ratio (a 1-core self-comparison is noise, not a benchmark) and
   records why.

@@ -53,6 +53,7 @@ import heapq
 import itertools
 import math
 from dataclasses import dataclass, field, replace
+from functools import partial
 from time import perf_counter
 from typing import Optional, Sequence
 
@@ -66,11 +67,7 @@ from repro.fabric.parts import PartDescriptor, VIRTEX_ULTRASCALE_PLUS
 from repro.fabric.thermal import DataCenterAmbient
 from repro.observability import trace
 from repro.observability.metrics import registry
-from repro.observability.progress import (
-    note_event,
-    note_phase,
-    note_seed_done,
-)
+from repro.observability.progress import note_event, note_phase
 from repro.observability.timeseries import (
     SERIES_AGING_DEBT,
     SERIES_BOARDS_PROBED,
@@ -1622,6 +1619,35 @@ def fleet_journal_context(
     }
 
 
+def _fleet_seed_campaign(
+    scenario: FleetScenario,
+    campaign: str,
+    attack_plan,
+    fault_plan: Optional[FleetFaultPlan],
+    recording: Optional[tuple[float, int]],
+    seed: int,
+) -> tuple[float, dict]:
+    """One seed of a fleet sweep (module-level: picklable).
+
+    Returns the recovery yield and an ``extra`` holding the campaign
+    result plus, when ``recording`` gives ``(cadence_hours,
+    max_points)``, the seed's FlightRecorder dump.  The runner is looked
+    up at call time, so a substituted ``_CAMPAIGN_RUNNERS`` entry wins.
+    """
+    seed_plan = None if fault_plan is None else fault_plan.reseeded(
+        derive_fleet_plan_seed(fault_plan.seed, seed)
+    )
+    seed_recorder = None if recording is None else FlightRecorder(*recording)
+    result = _CAMPAIGN_RUNNERS[campaign](
+        replace(scenario, seed=seed), attack_plan,
+        recorder=seed_recorder, fault_plan=seed_plan,
+    )
+    extra: dict = {"result": result.to_dict()}
+    if seed_recorder is not None:
+        extra["series_state"] = seed_recorder.dump_state()
+    return result.recovery_yield, extra
+
+
 def run_fleet_sweep(
     scenario: FleetScenario,
     seeds: Sequence[int],
@@ -1633,113 +1659,55 @@ def run_fleet_sweep(
 ) -> FleetSweepResult:
     """Run one campaign per seed, optionally journaled for resume.
 
-    With a :class:`~repro.reliability.checkpoint.SweepJournal`, every
-    completed seed is flushed atomically -- the full campaign result,
-    the seed's metrics delta, and (when recording) the seed's
-    FlightRecorder dump all land in the journal entry.  A killed run
-    relaunched with the same journal replays completed seeds from disk
-    and recomputes only the remainder; because per-seed recorder dumps
-    carry their original ``dump_id``s, merging is idempotent and the
-    resumed run's result, counters and series match an uninterrupted
-    run bit-for-bit.
+    The seeds run through :func:`repro.montecarlo.run_monte_carlo`,
+    which owns the journal: with a
+    :class:`~repro.reliability.checkpoint.SweepJournal`, every
+    completed seed is flushed atomically with its metrics delta and an
+    ``extra`` holding the full campaign result and (when recording)
+    the seed's FlightRecorder dump.  A killed run relaunched with the
+    same journal replays completed seeds from disk and recomputes only
+    the remainder; because per-seed recorder dumps carry their original
+    ``dump_id``s, merging is idempotent and the resumed run's result,
+    counters and series match an uninterrupted run bit-for-bit.
 
     Per-seed fault plans derive from ``fault_plan.seed`` and the
     campaign seed (:func:`~repro.reliability.fleet_chaos
     .derive_fleet_plan_seed`), so fault streams decorrelate across
     seeds yet the whole sweep stays reproducible from the pair.
     """
-    try:
-        runner = _CAMPAIGN_RUNNERS[campaign]
-    except KeyError:
+    # Imported here: montecarlo pulls in the process-pool machinery,
+    # which a single campaign never needs.
+    from repro.montecarlo import run_monte_carlo
+
+    if campaign not in _CAMPAIGN_RUNNERS:
         raise ConfigurationError(
             f"unknown fleet campaign {campaign!r} (expected one of: "
             f"{', '.join(sorted(_CAMPAIGN_RUNNERS))})"
-        ) from None
+        )
     seeds = [int(seed) for seed in seeds]
-    if not seeds:
-        raise ConfigurationError("a fleet sweep needs at least one seed")
     if len(set(seeds)) != len(seeds):
         raise ConfigurationError(
             f"sweep seeds must be unique, got {seeds}"
         )
-    results: dict[int, dict] = {}
-    yields: dict[int, float] = {}
-    resumed = 0
-    note_phase("fleet.sweep", total=len(seeds), campaign=campaign,
-               devices=scenario.devices, engine=scenario.engine)
-    with trace.span("fleet.sweep", campaign=campaign,
-                    seeds=len(seeds)):
-        for seed in seeds:
-            if journal is not None and seed in journal:
-                entry = journal.get(seed)
-                state = entry.get("metrics_state")
-                if state:
-                    registry.merge_state(state)
-                extra = entry.get("extra") or {}
-                if recorder is not None and extra.get("series_state"):
-                    recorder.merge_state(extra["series_state"])
-                results[seed] = extra.get("result") or {}
-                yields[seed] = float(entry["value"])
-                resumed += 1
-                registry.counter(
-                    "fleet_sweep_seeds_resumed_total",
-                    "fleet sweep seeds replayed from a journal",
-                ).inc()
-                note_seed_done(seed, yields[seed], resumed=True)
-                continue
-            seed_scenario = replace(scenario, seed=seed)
-            seed_plan = None
-            if fault_plan is not None:
-                seed_plan = fault_plan.reseeded(
-                    derive_fleet_plan_seed(fault_plan.seed, seed)
-                )
-            seed_recorder = None
-            if recorder is not None:
-                seed_recorder = FlightRecorder(
-                    cadence_hours=recorder.cadence_hours,
-                    max_points=recorder.max_points,
-                )
-            if journal is None:
-                result = runner(seed_scenario, attack_plan,
-                                recorder=seed_recorder,
-                                fault_plan=seed_plan)
-                if seed_recorder is not None:
-                    recorder.merge_state(seed_recorder.dump_state())
-                results[seed] = result.to_dict()
-                yields[seed] = result.recovery_yield
-                note_seed_done(seed, result.recovery_yield)
-                continue
-            # Journaled: isolate this seed's counter deltas so the
-            # journal entry carries exactly this seed's work -- the
-            # same discipline as the Monte Carlo sweep, which is what
-            # makes resumed telemetry match an uninterrupted run.
-            parent_state = registry.dump_state()
-            registry.reset()
-            try:
-                result = runner(seed_scenario, attack_plan,
-                                recorder=seed_recorder,
-                                fault_plan=seed_plan)
-            finally:
-                seed_state = registry.dump_state()
-                registry.reset()
-                registry.merge_state(parent_state)
-                registry.merge_state(seed_state)
-            extra: dict = {"result": result.to_dict()}
-            if seed_recorder is not None:
-                series_state = seed_recorder.dump_state()
-                extra["series_state"] = series_state
-                recorder.merge_state(series_state)
-            journal.record(seed, result.recovery_yield,
-                           metrics_state=seed_state, extra=extra)
-            results[seed] = extra["result"]
-            yields[seed] = result.recovery_yield
-            note_seed_done(seed, result.recovery_yield)
-    mean_yield = sum(yields[seed] for seed in seeds) / len(seeds)
+    resumed = (0 if journal is None
+               else sum(seed in journal for seed in seeds))
+    recording = (None if recorder is None
+                 else (recorder.cadence_hours, recorder.max_points))
+    sweep = run_monte_carlo(
+        partial(_fleet_seed_campaign, scenario, campaign, attack_plan,
+                fault_plan, recording),
+        seeds, metric_name=f"{campaign} recovery yield", journal=journal,
+    )
+    extras = [extra or {} for extra in sweep.extras]
+    if recorder is not None:
+        for extra in extras:
+            if extra.get("series_state"):
+                recorder.merge_state(extra["series_state"])
     return FleetSweepResult(
         campaign=campaign,
         seeds=seeds,
-        results=[results[seed] for seed in seeds],
-        mean_yield=mean_yield,
+        results=[extra.get("result") or {} for extra in extras],
+        mean_yield=sum(sweep.values) / len(seeds),
         resumed_seeds=resumed,
     )
 

@@ -7,13 +7,20 @@ distribution, and :func:`experiment_sweep` wraps the three experiment
 drivers so robustness numbers (mean recovery accuracy with a
 percentile interval) are one call away.
 
-Both accept ``jobs``: with ``jobs > 1`` the seed set shards across a
+:func:`run_monte_carlo` is the package's one per-seed loop: the chaos
+and fleet campaign sweeps ride it too.  A metric returns a float or
+``(value, extra)`` with a JSON-ready ``extra``, which is journaled,
+replayed on resume and returned aligned with the seeds.
+
+:func:`run_monte_carlo` and :func:`experiment_sweep` accept ``jobs``:
+with ``jobs > 1`` the seed set shards across a
 :class:`~concurrent.futures.ProcessPoolExecutor`.  Seeds are fully
 independent evaluations, so the sharded sweep returns a bit-identical
 :class:`MonteCarloResult` to the sequential one -- results are
-collected in submission order -- and each worker ships its metrics
-registry *and its span forest* back to be merged into the parent's, so
-``captures_total`` and friends still reflect the whole sweep and
+collected in submission order -- and each worker returns its value,
+extra, metrics registry *and span forest* through the pool's ordinary
+result channel to be merged into the parent's, so ``captures_total``
+and friends still reflect the whole sweep and
 ``--trace`` under ``--jobs N`` shows every worker's subtree (tagged
 with ``worker_pid``/``shard``) instead of only the parent's skeleton.
 
@@ -38,9 +45,9 @@ import os
 import pickle
 import traceback as _traceback
 from concurrent.futures import ProcessPoolExecutor
+from contextlib import contextmanager
 from dataclasses import dataclass, field
 from functools import partial
-from multiprocessing import shared_memory
 from time import perf_counter
 from typing import Callable, Optional, Sequence, Union
 
@@ -54,14 +61,24 @@ from repro.observability.progress import note_phase, note_seed_done
 
 _log = get_logger("montecarlo")
 
+#: A seed-parameterised metric: returns ``value`` or ``(value, extra)``.
+Metric = Callable[[int], Union[float, tuple[float, dict]]]
+#: One seed's ``(value, extra)``; ``extra`` is ``None`` for bare floats.
+_Outcome = tuple[float, Optional[dict]]
+
 
 @dataclass(frozen=True)
 class MonteCarloResult:
-    """Distribution summary of one metric over seeds."""
+    """Distribution summary of one metric over seeds.
+
+    ``extras`` is aligned with ``seeds``: each seed's ``extra`` dict,
+    or ``None`` where the metric returned a bare float.
+    """
 
     metric_name: str
     seeds: tuple[int, ...]
     values: tuple[float, ...]
+    extras: tuple[Optional[dict], ...] = field(repr=False)
 
     @property
     def mean(self) -> float:
@@ -133,7 +150,7 @@ def resolve_jobs(jobs: Union[int, str], n_seeds: int) -> int:
     return effective
 
 
-def _require_picklable(metric: Callable[[int], float]) -> None:
+def _require_picklable(metric: Metric) -> None:
     try:
         pickle.dumps(metric)
     except Exception as exc:
@@ -169,12 +186,21 @@ class _SeedOutcome:
     metrics_state: dict = field(default_factory=dict)
     trace_state: dict = field(default_factory=dict)
     value: Optional[float] = None
+    extra: Optional[dict] = None
     error: Optional[BaseException] = None
     error_text: Optional[str] = None
 
 
+def _split_result(raw) -> _Outcome:
+    """A metric's return as ``(value, extra)``; bare floats get ``None``."""
+    if isinstance(raw, tuple):
+        value, extra = raw
+        return float(value), extra
+    return float(raw), None
+
+
 def _evaluate_seed(
-    metric: Callable[[int], float], seed: int, collect_spans: bool = False
+    metric: Metric, seed: int, collect_spans: bool = False
 ) -> _SeedOutcome:
     """Worker-side evaluation: value, wall time, metrics and spans.
 
@@ -192,10 +218,10 @@ def _evaluate_seed(
     else:
         trace.disable()
     start = perf_counter()
-    value = error = error_text = None
+    value = extra = error = error_text = None
     try:
         with trace.span("montecarlo.seed", seed=int(seed)):
-            value = float(metric(int(seed)))
+            value, extra = _split_result(metric(int(seed)))
     except Exception as exc:
         error = exc
         error_text = _traceback.format_exc()
@@ -206,6 +232,7 @@ def _evaluate_seed(
         metrics_state=registry.dump_state(),
         trace_state=trace.dump_state() if collect_spans else {},
         value=value,
+        extra=extra,
         error=error,
         error_text=error_text,
     )
@@ -219,78 +246,8 @@ def _evaluate_seed(
     return outcome
 
 
-#: Per-seed slot layout in the shared result array.
-_SHM_STATUS, _SHM_VALUE, _SHM_ELAPSED, _SHM_PID = range(4)
-_SHM_FIELDS = 4
-_SHM_OK = 1.0
-_SHM_FAILED = 2.0
-
-
-def _attach_result_slots(
-    shm_name: str, n_slots: int
-) -> tuple[shared_memory.SharedMemory, np.ndarray]:
-    """Attach to the sweep's shared result array by name."""
-    shm = shared_memory.SharedMemory(name=shm_name)
-    slots = np.ndarray(
-        (n_slots, _SHM_FIELDS), dtype=np.float64, buffer=shm.buf
-    )
-    return shm, slots
-
-
-@dataclass
-class _ShardShipment:
-    """Telemetry a worker pickles back when scalars travel via shm.
-
-    The per-seed scalars (status, value, wall time, pid) land in the
-    shared result array; only the structured blobs that genuinely need
-    serialisation -- the metrics registry dump, the span forest and a
-    possible exception -- ride the pickle channel.
-    """
-
-    seed: int
-    metrics_state: dict = field(default_factory=dict)
-    trace_state: dict = field(default_factory=dict)
-    error: Optional[BaseException] = None
-    error_text: Optional[str] = None
-
-
-def _evaluate_seed_to_shm(
-    metric: Callable[[int], float],
-    seed: int,
-    index: int,
-    shm_name: str,
-    n_slots: int,
-    collect_spans: bool = False,
-) -> _ShardShipment:
-    """Worker-side evaluation writing its scalars into shared memory."""
-    outcome = _evaluate_seed(metric, seed, collect_spans)
-    shm, slots = _attach_result_slots(shm_name, n_slots)
-    try:
-        slot = slots[index]
-        slot[_SHM_STATUS] = _SHM_FAILED if outcome.value is None else _SHM_OK
-        slot[_SHM_VALUE] = (
-            np.nan if outcome.value is None else outcome.value
-        )
-        slot[_SHM_ELAPSED] = outcome.elapsed_s
-        slot[_SHM_PID] = float(outcome.pid)
-        del slot, slots
-    finally:
-        # Close the attachment only; the segment belongs to the parent.
-        # (Pool workers are forked, so the attach re-registers the name
-        # with the same resource tracker the parent used -- a set, so
-        # the duplicate is harmless and the parent's unlink clears it.)
-        shm.close()
-    return _ShardShipment(
-        seed=outcome.seed,
-        metrics_state=outcome.metrics_state,
-        trace_state=outcome.trace_state,
-        error=outcome.error,
-        error_text=outcome.error_text,
-    )
-
-
-def _resume_from_journal(journal, seeds: Sequence[int]) -> dict[int, float]:
-    """Replay journaled seeds: values plus their metric/span state.
+def _resume_from_journal(journal, seeds: Sequence[int]) -> dict[int, _Outcome]:
+    """Replay journaled seeds: values, extras and metric/span state.
 
     The journal entries carry their original ``dump_id``s, so merging
     is idempotent; the counters and (for parallel-journaled runs) span
@@ -298,7 +255,7 @@ def _resume_from_journal(journal, seeds: Sequence[int]) -> dict[int, float]:
     of those seeds would have left them.
     """
     collect_spans = trace.is_enabled()
-    resumed: dict[int, float] = {}
+    resumed: dict[int, _Outcome] = {}
     for index, seed in enumerate(seeds):
         if seed not in journal:
             continue
@@ -309,8 +266,8 @@ def _resume_from_journal(journal, seeds: Sequence[int]) -> dict[int, float]:
         trace_state = entry.get("trace_state")
         if collect_spans and trace_state:
             trace.merge_state(trace_state, shard=index, resumed=True)
-        resumed[seed] = float(entry["value"])
-        note_seed_done(seed, resumed[seed], resumed=True)
+        resumed[seed] = (float(entry["value"]), entry.get("extra"))
+        note_seed_done(seed, resumed[seed][0], resumed=True)
         registry.counter(
             "sweep_seeds_resumed_total",
             "sweep seeds skipped via a resume journal",
@@ -321,177 +278,136 @@ def _resume_from_journal(journal, seeds: Sequence[int]) -> dict[int, float]:
     return resumed
 
 
+@contextmanager
+def _seed_registry(isolate: bool):
+    """Isolate one seed's metric deltas for its journal entry.
+
+    With ``isolate`` the block runs on an empty registry; on exit, even
+    a crash or Ctrl-C, the yielded dict holds that seed's dump, the
+    parent state is restored and the deltas merged on top.  Without it
+    the block writes to the parent registry and the dict stays empty.
+    """
+    seed_state: dict = {}
+    if not isolate:
+        yield seed_state
+        return
+    parent_state = registry.dump_state()
+    registry.reset()
+    try:
+        yield seed_state
+    finally:
+        seed_state.update(registry.dump_state())
+        registry.reset()
+        registry.merge_state(parent_state)
+        registry.merge_state(seed_state)
+
+
 def _run_sequential(
-    metric: Callable[[int], float], seeds: Sequence[int], journal=None
-) -> list[float]:
-    values = []
+    metric: Metric, seeds: Sequence[int], journal=None
+) -> list[_Outcome]:
+    outcomes = []
     for seed in seeds:
         start = perf_counter()
-        if journal is None:
+        with _seed_registry(journal is not None) as seed_state:
             with trace.span("montecarlo.seed", seed=int(seed)):
-                values.append(float(metric(int(seed))))
+                value, extra = _split_result(metric(int(seed)))
             elapsed = perf_counter() - start
             _record_seed_run(elapsed)
-            note_seed_done(int(seed), values[-1], elapsed_s=elapsed)
-            continue
-        # Journaled: isolate this seed's metric deltas so the journal
-        # entry replays exactly them on resume.  The finally block
-        # restores the parent state even on a crash or Ctrl-C, and the
-        # journal gains an entry only for a *completed* seed.
-        parent_state = registry.dump_state()
-        registry.reset()
-        try:
-            with trace.span("montecarlo.seed", seed=int(seed)):
-                value = float(metric(int(seed)))
-            _record_seed_run(perf_counter() - start)
-        finally:
-            seed_state = registry.dump_state()
-            registry.reset()
-            registry.merge_state(parent_state)
-            registry.merge_state(seed_state)
-        journal.record(int(seed), value, metrics_state=seed_state)
-        values.append(value)
-        note_seed_done(int(seed), value, elapsed_s=perf_counter() - start)
-    return values
+        # The journal gains an entry only for a *completed* seed.
+        if journal is not None:
+            journal.record(int(seed), value, metrics_state=seed_state,
+                           extra=extra)
+        outcomes.append((value, extra))
+        note_seed_done(int(seed), value, elapsed_s=elapsed)
+    return outcomes
 
 
 def _run_parallel(
-    metric: Callable[[int], float], seeds: Sequence[int], jobs: int,
-    journal=None,
-) -> list[float]:
+    metric: Metric, seeds: Sequence[int], jobs: int, journal=None,
+) -> list[_Outcome]:
     """Shard the seeds over worker processes.
 
-    Per-seed scalars (value, wall time, worker pid, success flag) come
-    back through one :mod:`multiprocessing.shared_memory` result array
-    -- workers write their slot in place, nothing scalar is pickled --
-    while the structured metrics/span blobs still ship via
-    ``dump_state`` pickles and merge in submission order, keeping the
-    sharded sweep bit-identical to the sequential one.
+    Each worker returns its :class:`_SeedOutcome` through the pool's
+    result channel; the parent merges the outcomes' metrics/span blobs
+    in submission order, keeping the sharded sweep bit-identical to the
+    sequential one.
     """
     _require_picklable(metric)
     collect_spans = trace.is_enabled()
-    values = []
-    first_failure = None  # (shipment, worker pid)
-    shm = shared_memory.SharedMemory(
-        create=True, size=len(seeds) * _SHM_FIELDS * 8
-    )
-    try:
-        slots = np.ndarray(
-            (len(seeds), _SHM_FIELDS), dtype=np.float64, buffer=shm.buf
-        )
-        slots[:] = 0.0
-        with ProcessPoolExecutor(max_workers=min(jobs, len(seeds))) as pool:
-            futures = [
-                pool.submit(
-                    _evaluate_seed_to_shm, metric, int(seed), index,
-                    shm.name, len(seeds), collect_spans,
-                )
-                for index, seed in enumerate(seeds)
-            ]
-            # Collect in submission order: result ordering (and hence
-            # the MonteCarloResult) is deterministic regardless of which
-            # worker finishes first.
-            try:
-                for shard, (seed, future) in enumerate(zip(seeds, futures)):
-                    shipment = future.result()
-                    status = float(slots[shard, _SHM_STATUS])
-                    elapsed = float(slots[shard, _SHM_ELAPSED])
-                    pid = int(slots[shard, _SHM_PID])
-                    if status != _SHM_OK:
-                        registry.merge_state(shipment.metrics_state)
-                        if collect_spans and shipment.trace_state:
-                            trace.merge_state(
-                                shipment.trace_state, shard=shard
-                            )
-                        registry.counter(
-                            "montecarlo_worker_failures_total",
-                            "seeded evaluations that raised in a worker",
-                        ).inc()
-                        _log.info("worker_seed_failed", seed=shipment.seed,
-                                  pid=pid)
-                        if first_failure is None:
-                            first_failure = (shipment, pid)
-                        continue
-                    value = float(slots[shard, _SHM_VALUE])
-                    if journal is None:
-                        registry.merge_state(shipment.metrics_state)
-                        if collect_spans and shipment.trace_state:
-                            trace.merge_state(
-                                shipment.trace_state, shard=shard
-                            )
-                        _record_seed_run(elapsed)
-                    else:
-                        # Journaled: fold the parent-side per-seed
-                        # accounting into the same state the journal
-                        # stores, so a resume replays it all in one
-                        # merge.
-                        parent_state = registry.dump_state()
-                        registry.reset()
-                        registry.merge_state(shipment.metrics_state)
-                        _record_seed_run(elapsed)
-                        entry_state = registry.dump_state()
-                        registry.reset()
-                        registry.merge_state(parent_state)
-                        registry.merge_state(entry_state)
-                        if collect_spans and shipment.trace_state:
-                            trace.merge_state(
-                                shipment.trace_state, shard=shard
-                            )
-                        journal.record(
-                            int(seed), value,
-                            metrics_state=entry_state,
-                            trace_state=(
-                                shipment.trace_state
-                                if collect_spans and shipment.trace_state
-                                else None
-                            ),
-                        )
-                    values.append(value)
-                    note_seed_done(int(seed), value, elapsed_s=elapsed,
-                                   shard=shard, worker_pid=pid)
-            except BaseException:
-                # Ctrl-C (or any other non-metric failure) while
-                # collecting: drop the queued seeds, let running workers
-                # finish their current seed, and leave the journal
-                # consistent -- a --resume of the same sweep picks up
-                # from here.
-                pool.shutdown(wait=True, cancel_futures=True)
-                _log.warning("sweep_interrupted", completed=len(values),
-                             total=len(seeds))
-                raise
-    finally:
-        # The workers have all detached (the pool context waited for
-        # them), so the parent can safely release the segment even when
-        # unwinding from an interrupt.  The local ndarray view must go
-        # first: mmap refuses to close while buffers are exported.
+    outcomes = []
+    first_failure = None
+    with ProcessPoolExecutor(max_workers=min(jobs, len(seeds))) as pool:
+        futures = [
+            pool.submit(_evaluate_seed, metric, int(seed), collect_spans)
+            for seed in seeds
+        ]
+        # Collect in submission order: result ordering (and hence the
+        # MonteCarloResult) is deterministic regardless of which worker
+        # finishes first.
         try:
-            del slots
-        except NameError:  # pragma: no cover - allocation failed early
-            pass
-        shm.close()
-        shm.unlink()
+            for shard, future in enumerate(futures):
+                outcome = future.result()
+                trace_state = outcome.trace_state or None
+                if trace_state:
+                    trace.merge_state(trace_state, shard=shard)
+                if outcome.value is None:
+                    registry.merge_state(outcome.metrics_state)
+                    registry.counter(
+                        "montecarlo_worker_failures_total",
+                        "seeded evaluations that raised in a worker",
+                    ).inc()
+                    _log.info("worker_seed_failed", seed=outcome.seed,
+                              pid=outcome.pid)
+                    if first_failure is None:
+                        first_failure = outcome
+                    continue
+                with _seed_registry(journal is not None) as entry_state:
+                    registry.merge_state(outcome.metrics_state)
+                    _record_seed_run(outcome.elapsed_s)
+                if journal is not None:
+                    journal.record(
+                        outcome.seed, outcome.value,
+                        metrics_state=entry_state, trace_state=trace_state,
+                        extra=outcome.extra,
+                    )
+                outcomes.append((outcome.value, outcome.extra))
+                note_seed_done(outcome.seed, outcome.value,
+                               elapsed_s=outcome.elapsed_s, shard=shard,
+                               worker_pid=outcome.pid)
+        except BaseException:
+            # Ctrl-C (or any other non-metric failure) while collecting:
+            # drop the queued seeds, let running workers finish their
+            # current seed, and leave the journal consistent -- a
+            # --resume of the same sweep picks up from here.
+            pool.shutdown(wait=True, cancel_futures=True)
+            _log.warning("sweep_interrupted", completed=len(outcomes),
+                         total=len(seeds))
+            raise
     if first_failure is not None:
         # Every shard's partial metrics/spans are merged by now; only
         # then surface the failure, matching what the sequential path
         # leaves behind when a metric raises mid-sweep.
-        shipment, pid = first_failure
-        if shipment.error is not None:
-            raise shipment.error
+        if first_failure.error is not None:
+            raise first_failure.error
         raise AnalysisError(
-            f"seed {shipment.seed} failed in worker "
-            f"{pid}:\n{shipment.error_text}"
+            f"seed {first_failure.seed} failed in worker "
+            f"{first_failure.pid}:\n{first_failure.error_text}"
         )
-    return values
+    return outcomes
 
 
 def run_monte_carlo(
-    metric: Callable[[int], float],
+    metric: Metric,
     seeds: Sequence[int],
     metric_name: str = "metric",
     jobs: Union[int, str] = 1,
     journal=None,
 ) -> MonteCarloResult:
     """Evaluate ``metric(seed)`` for every seed and summarise.
+
+    ``metric`` returns either a float or ``(value, extra)`` where
+    ``extra`` is a JSON-ready dict; extras are journaled, replayed on
+    resume and returned as :attr:`MonteCarloResult.extras`.
 
     ``jobs > 1`` shards the seeds over that many worker processes; the
     metric must then be picklable.  ``jobs="auto"`` uses one worker per
@@ -502,7 +418,7 @@ def run_monte_carlo(
     ``journal`` (a :class:`~repro.reliability.checkpoint.SweepJournal`)
     turns on checkpoint/resume: every completed seed is journaled
     atomically with its per-seed metric state, seeds already journaled
-    are skipped (their value and telemetry replayed,
+    are skipped (their value, extra and telemetry replayed,
     ``sweep_seeds_resumed_total`` counts them), and a sweep killed
     partway resumes to the same :class:`MonteCarloResult` an
     uninterrupted run produces.
@@ -536,20 +452,22 @@ def run_monte_carlo(
         )
         pending = [s for s in seeds if s not in resumed]
         if not pending:
-            run_values: list[float] = []
+            run_outcomes: list[_Outcome] = []
         elif effective == 1:
-            run_values = _run_sequential(metric, pending, journal)
+            run_outcomes = _run_sequential(metric, pending, journal)
         else:
-            run_values = _run_parallel(metric, pending, effective, journal)
-        fresh = iter(run_values)
-        values = [
+            run_outcomes = _run_parallel(metric, pending, effective,
+                                         journal)
+        fresh = iter(run_outcomes)
+        outcomes = [
             resumed[s] if s in resumed else next(fresh) for s in seeds
         ]
     _log.info("monte_carlo_done", metric=metric_name, n=len(seeds),
               jobs=effective, resumed=len(resumed))
     return MonteCarloResult(
-        metric_name=metric_name, seeds=tuple(int(s) for s in seeds),
-        values=tuple(values),
+        metric_name=metric_name, seeds=tuple(seeds),
+        values=tuple(value for value, _ in outcomes),
+        extras=tuple(extra for _, extra in outcomes),
     )
 
 

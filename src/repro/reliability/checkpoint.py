@@ -1,7 +1,8 @@
 """Checkpoint/resume journal for Monte Carlo sweeps.
 
 A :class:`SweepJournal` records one entry per *completed* seed of a
-sweep -- the metric value plus the observability state
+sweep -- the metric value, its optional ``extra`` payload, plus the
+observability state
 (:meth:`~repro.observability.metrics.MetricsRegistry.dump_state`, and
 for parallel runs the worker's span forest) captured for exactly that
 seed.  Every :meth:`record` rewrites the whole journal atomically
@@ -140,10 +141,12 @@ class SweepJournal:
         ``metrics_state``/``trace_state`` are the observability dumps
         for exactly this seed's work; they are replayed on resume so a
         resumed sweep's telemetry matches an uninterrupted one.
-        ``extra`` carries arbitrary JSON-ready payload a caller wants
-        back verbatim on resume -- the fleet sweep stores each seed's
-        full campaign result and FlightRecorder dump there, which is
-        what makes a killed ``repro fleet`` run resume bit-identically.
+        ``extra`` is the JSON-ready payload a metric returned as
+        ``(value, extra)``; :func:`~repro.montecarlo.run_monte_carlo`
+        hands it back verbatim on resume.  The fleet sweep keeps each
+        seed's full campaign result and FlightRecorder dump there, which
+        is what makes a killed ``repro fleet`` run resume
+        bit-identically.
         """
         entry: dict = {"seed": int(seed), "value": float(value)}
         if metrics_state is not None:

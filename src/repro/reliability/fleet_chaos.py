@@ -42,7 +42,7 @@ pay one predicate and nothing else.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from pathlib import Path
 from typing import Optional, Sequence, Union
 
@@ -100,6 +100,44 @@ def _require_number(payload: dict, key: str, what: str) -> float:
     return float(value)
 
 
+def _require_fields(cls, payload, what: str) -> None:
+    """Refuse a non-object or a key that is not a field of ``cls``."""
+    if not isinstance(payload, dict):
+        raise ConfigurationError(f"{what} must be an object, got {payload!r}")
+    known = {spec.name for spec in fields(cls)}
+    for key in payload:
+        if key not in known:
+            raise ConfigurationError(f"{what} has unknown key {key!r}")
+
+
+def _optional_number(payload: dict, key: str, what: str, default):
+    """:func:`_require_number`, with ``default`` for an absent key."""
+    if key not in payload:
+        return default
+    return _require_number(payload, key, what)
+
+
+def _optional_int(payload: dict, key: str, what: str, default):
+    """An integral number (``2`` or ``2.0``, not ``2.7``), or ``default``."""
+    if key not in payload:
+        return default
+    if not _require_number(payload, key, what).is_integer():
+        raise ConfigurationError(
+            f"{what} key {key!r} must be an integer, got {payload[key]!r}"
+        )
+    return int(payload[key])
+
+
+def _optional_flag(payload: dict, key: str, what: str, default: bool) -> bool:
+    """A JSON boolean (not ``"false"`` or ``0``), or ``default``."""
+    value = payload.get(key, default)
+    if not isinstance(value, bool):
+        raise ConfigurationError(
+            f"{what} key {key!r} must be true or false, got {value!r}"
+        )
+    return value
+
+
 @dataclass(frozen=True)
 class WipeFaultSpec:
     """How release-time wipes fail.
@@ -147,22 +185,22 @@ class WipeFaultSpec:
 
     @classmethod
     def from_dict(cls, payload: dict) -> "WipeFaultSpec":
-        if not isinstance(payload, dict):
-            raise ConfigurationError(
-                f"wipe spec must be an object, got {payload!r}"
-            )
-        known = {"fail_probability", "partial_probability",
-                 "scrub_fraction", "max_fires"}
-        for key in payload:
-            if key not in known:
-                raise ConfigurationError(f"wipe spec has unknown key {key!r}")
+        _require_fields(cls, payload, "wipe spec")
+        # ``"max_fires": null`` means no cap, as an absent key does.
+        max_fires = None
+        if payload.get("max_fires") is not None:
+            max_fires = _optional_int(payload, "max_fires", "wipe", None)
         return cls(
-            fail_probability=float(payload.get("fail_probability", 0.0)),
-            partial_probability=float(
-                payload.get("partial_probability", 0.0)
+            fail_probability=_optional_number(
+                payload, "fail_probability", "wipe", 0.0
             ),
-            scrub_fraction=float(payload.get("scrub_fraction", 0.5)),
-            max_fires=payload.get("max_fires"),
+            partial_probability=_optional_number(
+                payload, "partial_probability", "wipe", 0.0
+            ),
+            scrub_fraction=_optional_number(
+                payload, "scrub_fraction", "wipe", 0.5
+            ),
+            max_fires=max_fires,
         )
 
 
@@ -204,22 +242,13 @@ class OutageWindow:
 
     @classmethod
     def from_dict(cls, payload: dict) -> "OutageWindow":
-        if not isinstance(payload, dict):
-            raise ConfigurationError(
-                f"outage window must be an object, got {payload!r}"
-            )
-        known = {"start_hours", "duration_hours", "drop_churn"}
-        for key in payload:
-            if key not in known:
-                raise ConfigurationError(
-                    f"outage window has unknown key {key!r}"
-                )
+        _require_fields(cls, payload, "outage window")
         return cls(
             start_hours=_require_number(payload, "start_hours", "outage"),
             duration_hours=_require_number(
                 payload, "duration_hours", "outage"
             ),
-            drop_churn=bool(payload.get("drop_churn", True)),
+            drop_churn=_optional_flag(payload, "drop_churn", "outage", True),
         )
 
 
@@ -257,20 +286,13 @@ class PreemptionStorm:
 
     @classmethod
     def from_dict(cls, payload: dict) -> "PreemptionStorm":
-        if not isinstance(payload, dict):
-            raise ConfigurationError(
-                f"preemption storm must be an object, got {payload!r}"
-            )
-        known = {"start_hours", "probability", "cut_churn"}
-        for key in payload:
-            if key not in known:
-                raise ConfigurationError(
-                    f"preemption storm has unknown key {key!r}"
-                )
+        _require_fields(cls, payload, "preemption storm")
         return cls(
             start_hours=_require_number(payload, "start_hours", "storm"),
-            probability=float(payload.get("probability", 1.0)),
-            cut_churn=bool(payload.get("cut_churn", True)),
+            probability=_optional_number(
+                payload, "probability", "storm", 1.0
+            ),
+            cut_churn=_optional_flag(payload, "cut_churn", "storm", True),
         )
 
 
@@ -296,19 +318,10 @@ class RetirementWave:
 
     @classmethod
     def from_dict(cls, payload: dict) -> "RetirementWave":
-        if not isinstance(payload, dict):
-            raise ConfigurationError(
-                f"retirement wave must be an object, got {payload!r}"
-            )
-        known = {"time_hours", "boards"}
-        for key in payload:
-            if key not in known:
-                raise ConfigurationError(
-                    f"retirement wave has unknown key {key!r}"
-                )
+        _require_fields(cls, payload, "retirement wave")
         return cls(
             time_hours=_require_number(payload, "time_hours", "retirement"),
-            boards=int(payload.get("boards", 1)),
+            boards=_optional_int(payload, "boards", "retirement", 1),
         )
 
 
@@ -345,22 +358,13 @@ class ThermalExcursion:
 
     @classmethod
     def from_dict(cls, payload: dict) -> "ThermalExcursion":
-        if not isinstance(payload, dict):
-            raise ConfigurationError(
-                f"thermal excursion must be an object, got {payload!r}"
-            )
-        known = {"start_hours", "duration_hours", "delta_k"}
-        for key in payload:
-            if key not in known:
-                raise ConfigurationError(
-                    f"thermal excursion has unknown key {key!r}"
-                )
+        _require_fields(cls, payload, "thermal excursion")
         return cls(
             start_hours=_require_number(payload, "start_hours", "excursion"),
             duration_hours=_require_number(
                 payload, "duration_hours", "excursion"
             ),
-            delta_k=float(payload.get("delta_k", 8.0)),
+            delta_k=_optional_number(payload, "delta_k", "excursion", 8.0),
         )
 
 
@@ -643,12 +647,7 @@ class FleetFaultPlan:
                 f"fleet fault plan has schema {schema!r}; this build "
                 f"reads {FLEET_PLAN_SCHEMA}"
             )
-        try:
-            seed = int(payload.get("seed", 0))
-        except (TypeError, ValueError) as exc:
-            raise ConfigurationError(
-                f"fleet fault plan seed must be an integer: {exc}"
-            ) from exc
+        seed = _optional_int(payload, "seed", "fleet fault plan", 0)
 
         def _sequence(key: str, klass) -> list:
             raw = payload.get(key, ())

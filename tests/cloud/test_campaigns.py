@@ -39,6 +39,7 @@ from repro.reliability.fleet_chaos import (
     RetirementWave,
     ThermalExcursion,
     WipeFaultSpec,
+    derive_fleet_plan_seed,
 )
 
 
@@ -686,8 +687,57 @@ class TestFleetSweep:
         assert sweep.resumed_seeds == 2
         assert sweep.to_dict() == expected_dict
         assert rec.to_json() == expected_series
-        counters.pop("fleet_sweep_seeds_resumed_total")
+        counters.pop("sweep_seeds_resumed_total")
         assert counters == expected_counters
+
+    def test_parent_format_journal_resumes(self, tmp_path):
+        """Journals written before fleet sweeps ran on the Monte Carlo
+        runner hold per seed ``value``, ``metrics_state`` and
+        ``extra.result``/``extra.series_state`` but no ``trace_state``.
+        Such a journal resumes to the result and series of an
+        uninterrupted run."""
+        seeds = [1, 2, 3]
+        plan = _sweep_chaos_plan()
+        context = fleet_journal_context(
+            _sweep_scenario(), "flash", attack_plan=_SWEEP_ATTACK,
+            fault_plan=plan)
+        registry.reset()
+        rec = FlightRecorder(cadence_hours=7.0)
+        expected = run_fleet_sweep(
+            _sweep_scenario(), seeds, attack_plan=_SWEEP_ATTACK,
+            fault_plan=plan, recorder=rec,
+        )
+        expected_series = rec.to_json()
+
+        # Write seeds 1 and 2 the way the old per-campaign loop did.
+        journal_path = tmp_path / "old.journal"
+        old = SweepJournal(journal_path, context=context)
+        for seed in seeds[:2]:
+            registry.reset()
+            seed_rec = FlightRecorder(cadence_hours=7.0)
+            result = run_flash_campaign(
+                _sweep_scenario(seed=seed), _SWEEP_ATTACK,
+                recorder=seed_rec,
+                fault_plan=plan.reseeded(
+                    derive_fleet_plan_seed(plan.seed, seed)),
+            )
+            old.record(seed, result.recovery_yield,
+                       metrics_state=registry.dump_state(),
+                       extra={"result": result.to_dict(),
+                              "series_state": seed_rec.dump_state()})
+        registry.reset()
+        loaded = SweepJournal.load(journal_path, context=context)
+        assert all("trace_state" not in loaded.get(s) for s in seeds[:2])
+
+        rec = FlightRecorder(cadence_hours=7.0)
+        resumed = run_fleet_sweep(
+            _sweep_scenario(), seeds, attack_plan=_SWEEP_ATTACK,
+            fault_plan=plan, recorder=rec, journal=loaded,
+        )
+        registry.reset()
+        assert resumed.resumed_seeds == 2
+        assert resumed.to_dict() == expected.to_dict()
+        assert rec.to_json() == expected_series
 
     def test_journaled_equals_unjournaled(self, tmp_path):
         registry.reset()

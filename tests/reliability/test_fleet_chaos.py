@@ -304,6 +304,45 @@ class TestLoader:
         message = str(excinfo.value)
         assert "typo.json" in message and "durration_hours" in message
 
+    @pytest.mark.parametrize("payload, key", [
+        ({"wipe": {"fail_probability": "abc"}}, "fail_probability"),
+        ({"wipe": {"max_fires": 1.5}}, "max_fires"),
+        ({"wipe": {"scrub_fraction": True}}, "scrub_fraction"),
+        ({"storms": [{"start_hours": 1.0, "probability": None}]},
+         "probability"),
+        ({"storms": [{"start_hours": 1.0, "cut_churn": 1}]}, "cut_churn"),
+        ({"retirements": [{"time_hours": 1.0, "boards": "x"}]}, "boards"),
+        ({"retirements": [{"time_hours": 1.0, "boards": 2.7}]}, "boards"),
+        ({"outages": [{"start_hours": 1.0, "duration_hours": 2.0,
+                       "drop_churn": "false"}]}, "drop_churn"),
+        ({"excursions": [{"start_hours": 1.0, "duration_hours": 2.0,
+                          "delta_k": [8]}]}, "delta_k"),
+        ({"seed": "7"}, "seed"),
+    ])
+    def test_mistyped_value_names_key_and_file(self, tmp_path, payload,
+                                               key):
+        """Strings, nulls, bools-for-numbers, non-integral counts and
+        non-boolean flags are refused, never coerced or leaked as raw
+        ``ValueError``/``TypeError``."""
+        bad = tmp_path / "mistyped.json"
+        bad.write_text(json.dumps({"schema": 1, **payload}))
+        with pytest.raises(PersistenceError) as excinfo:
+            load_fleet_fault_plan(bad)
+        message = str(excinfo.value)
+        assert "mistyped.json" in message and repr(key) in message
+
+    def test_integral_floats_and_null_cap_load(self):
+        plan = FleetFaultPlan.from_dict({
+            "seed": 4.0,
+            "wipe": {"fail_probability": 0, "max_fires": None},
+            "retirements": [{"time_hours": 1, "boards": 2.0}],
+            "outages": [{"start_hours": 1, "duration_hours": 2,
+                         "drop_churn": False}],
+        })
+        assert plan.seed == 4 and plan.wipe.max_fires is None
+        assert plan.retirements[0].boards == 2
+        assert plan.outages[0].drop_churn is False
+
     def test_committed_default_plan_meets_the_gate(self):
         from pathlib import Path
 

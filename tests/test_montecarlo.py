@@ -48,6 +48,18 @@ def _tenth_interrupt_on_three(seed: int) -> float:
     return _tenth(seed)
 
 
+def _tenth_with_extra(seed: int) -> tuple:
+    """_tenth plus a JSON-ready per-seed ``extra`` payload."""
+    return _tenth(seed), {"seed": seed, "squares": [seed, seed * seed]}
+
+
+def _tenth_with_extra_boom_on_three(seed: int) -> tuple:
+    """_tenth_with_extra, except the process dies at seed 3."""
+    if seed == 3:
+        raise RuntimeError("killed at seed 3")
+    return _tenth_with_extra(seed)
+
+
 @pytest.fixture
 def four_cpus(monkeypatch):
     """Pretend the machine has four CPUs so the pool path really runs.
@@ -390,3 +402,46 @@ class TestInterruptSafety:
             run_monte_carlo(_tenth_interrupt_on_three, [1, 2, 3, 4],
                             journal=SweepJournal(path))
         assert SweepJournal.load(path).completed_seeds() == [1, 2]
+
+
+class TestExtras:
+    """A metric returning ``(value, extra)``: extras are journaled,
+    replayed on resume and returned aligned with the seeds."""
+
+    def test_sharded_extras_equal_sequential(self, four_cpus):
+        sequential = run_monte_carlo(_tenth_with_extra, [1, 2, 3, 4])
+        sharded = run_monte_carlo(_tenth_with_extra, [1, 2, 3, 4], jobs=2)
+        assert sharded == sequential
+        assert sequential.values == (0.1, 0.2, 0.3, 0.4)
+        assert sequential.extras == tuple(
+            {"seed": s, "squares": [s, s * s]} for s in (1, 2, 3, 4)
+        )
+
+    @pytest.mark.parametrize("jobs", [1, 2])
+    def test_killed_journaled_run_resumes_to_equal_extras(
+        self, four_cpus, tmp_path, jobs
+    ):
+        from repro.reliability.checkpoint import SweepJournal
+
+        seeds = [1, 2, 3, 4]
+        baseline = run_monte_carlo(_tenth_with_extra, seeds)
+        path = tmp_path / "sweep.journal"
+        with pytest.raises(RuntimeError, match="killed at seed 3"):
+            run_monte_carlo(_tenth_with_extra_boom_on_three, seeds,
+                            jobs=jobs, journal=SweepJournal(path))
+        partial = SweepJournal.load(path)
+        completed = partial.completed_seeds()
+        assert 3 not in completed and {1, 2} <= set(completed)
+        assert partial.get(2)["extra"] == {"seed": 2, "squares": [2, 4]}
+        registry.reset()
+
+        resumed = run_monte_carlo(_tenth_with_extra, seeds, jobs=jobs,
+                                  journal=partial)
+        assert resumed == baseline
+        assert registry.counter("sweep_seeds_resumed_total").value \
+            == len(completed)
+
+    @pytest.mark.parametrize("jobs", [1, 2])
+    def test_bare_float_metrics_have_no_extras(self, four_cpus, jobs):
+        result = run_monte_carlo(_tenth, [1, 2, 3], jobs=jobs)
+        assert result.extras == (None, None, None)
