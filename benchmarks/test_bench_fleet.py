@@ -14,6 +14,11 @@ Four phases, written to ``BENCH_fleet.json`` at the repo root:
   size it resolves the trace in.
 * **campaign_quick** -- a small flash-attack campaign recording fleet
   recovery yield, pinned identical across engines.
+* **materialise_microbench** -- first-touch probing of fresh cloud
+  boards (every route segment materialised on the probe), batched
+  lookups against the per-segment reference walker
+  (``tests.oracles.ScalarAgingDevice``): the route deltas must be
+  equal and the batched path must not be slower.
 
 Hard gates are deliberately loose (the 1M events/s floor is ~3x under
 what this path measures on a warm laptop core); the headline ratios
@@ -27,6 +32,9 @@ import platform
 from pathlib import Path
 from time import perf_counter
 
+from repro.designs import build_route_bank
+from repro.fabric.device import FpgaDevice
+from repro.physics.aging import CLOUD_PART
 from repro.cloud.campaigns import (
     ChurnModel,
     FlashAttackPlan,
@@ -35,6 +43,7 @@ from repro.cloud.campaigns import (
     run_churn_benchmark,
     run_flash_campaign,
 )
+from tests.oracles import ScalarAgingDevice
 
 _TARGET = Path(__file__).resolve().parents[1] / "BENCH_fleet.json"
 
@@ -50,6 +59,24 @@ _REFERENCE_DEVICES = 4_000
 
 #: CI gate: minimum bulk-path throughput, lifecycle events per second.
 _FLOOR_EVENTS_PER_SECOND = 1_000_000
+
+
+#: First-touch microbench: fresh cloud boards, each probed once on
+#: every route of a fleet-scan-sized bank.
+_PROBE_BOARDS = 200
+_PROBE_ROUTES = 8
+
+
+def _probe_fresh_boards(device_cls, part, routes, seeds):
+    """Route deltas of ``seeds`` fresh boards and the seconds it took."""
+    start = perf_counter()
+    deltas = [
+        [device.route_delta_ps(route) for route in routes]
+        for device in (
+            device_cls(part, wear=CLOUD_PART, seed=seed) for seed in seeds
+        )
+    ]
+    return deltas, perf_counter() - start
 
 
 def _campaign_scenario(engine):
@@ -122,6 +149,24 @@ def test_bench_fleet(emit):
          f"{campaign.lifecycle_events:,} churn events in "
          f"{campaign_s:.2f} s")
 
+    # -- first-touch materialisation -----------------------------------
+    fleet = FleetScenario()
+    routes = build_route_bank(
+        fleet.part.make_grid(), [fleet.route_length_ps] * _PROBE_ROUTES
+    )
+    seeds = range(_PROBE_BOARDS)
+    batched, batched_s = _probe_fresh_boards(
+        FpgaDevice, fleet.part, routes, seeds
+    )
+    walker, walker_s = _probe_fresh_boards(
+        ScalarAgingDevice, fleet.part, routes, seeds
+    )
+    deltas_equal = batched == walker
+    materialise_speedup = walker_s / batched_s
+    emit(f"first touch: {_PROBE_BOARDS} boards x {_PROBE_ROUTES} routes "
+         f"in {batched_s:.2f} s batched vs {walker_s:.2f} s per segment "
+         f"({materialise_speedup:.1f}x), deltas equal: {deltas_equal}")
+
     payload = {
         "suite": "fleet",
         "python_version": platform.python_version(),
@@ -159,6 +204,14 @@ def test_bench_fleet(emit):
                 and campaign.details == campaign_ref.details
             ),
         },
+        "materialise_microbench": {
+            "boards": _PROBE_BOARDS,
+            "routes": _PROBE_ROUTES,
+            "batched_seconds": round(batched_s, 3),
+            "reference_seconds": round(walker_s, 3),
+            "speedup": round(materialise_speedup, 2),
+            "deltas_equal": deltas_equal,
+        },
     }
     _TARGET.write_text(json.dumps(payload, indent=1))
     emit(f"wrote {_TARGET.name}")
@@ -174,3 +227,5 @@ def test_bench_fleet(emit):
     assert equivalent
     assert campaign.recovery_yield == campaign_ref.recovery_yield
     assert campaign.mean_accuracy == campaign_ref.mean_accuracy
+    assert deltas_equal
+    assert materialise_speedup >= 1.0

@@ -780,7 +780,8 @@ class _RegionClock:
         return self._region.now_hours
 
     def advance(self, hours: float) -> None:
-        self._region.advance_to(self._region.now_hours + hours)
+        with trace.span("fleet.churn", hours=hours):
+            self._region.advance_to(self._region.now_hours + hours)
 
 
 class FleetSimulator:
@@ -1385,7 +1386,8 @@ def run_flash_campaign(
             now = loop.now_hours
             count = min(plan.flash_limit, sim.region.available())
             boards = [sim.region.rent() for _ in range(count)]
-            probes = [sim.probe(board, now) for board in boards]
+            with trace.span("fleet.probe", boards=count):
+                probes = [sim.probe(board, now) for board in boards]
             probed[0] += len(boards)
             # The attacker harvests a candidate secret from every
             # flashed board (stale pentimenti from earlier tenants are
@@ -1492,8 +1494,9 @@ def run_scan_campaign(
         now = loop.now_hours
         count = min(plan.scan_width, sim.region.available())
         boards = [sim.region.rent() for _ in range(count)]
-        for board in boards:
-            probe = sim.probe(board, now)
+        with trace.span("fleet.probe", boards=count):
+            probes = [sim.probe(board, now) for board in boards]
+        for board, probe in zip(boards, probes):
             probed[0] += 1
             victim = by_board.get(board)
             if victim is not None and not victim.recovered:

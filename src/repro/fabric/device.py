@@ -40,7 +40,7 @@ from __future__ import annotations
 import itertools
 import weakref
 from dataclasses import dataclass, replace
-from typing import NamedTuple, Optional
+from typing import NamedTuple, Optional, Sequence
 
 import numpy as np
 
@@ -55,7 +55,6 @@ from repro.fabric.thermal import ThermalModel
 from repro.observability.metrics import registry
 from repro.physics.aging import NEW_PART, WearProfile
 from repro.physics.constants import REFERENCE_VOLTAGE_V
-from repro.physics.bti import SegmentTraits
 from repro.physics.delay import TransitionDelays
 from repro.physics.pool_array import SegmentBtiArray, SegmentBtiSlot
 from repro.physics.variation import ProcessVariation
@@ -71,6 +70,14 @@ DELAY_TEMP_COEFF_PER_K = 2.0e-4
 _DELAY_TEMP_REF_K = 338.15
 
 _device_ids = itertools.count(1)
+
+#: Routed segments ``load`` gathers into one materialising lookup.
+#: Nets are batched together because most nets of a heater design route
+#: a single segment, and a batch has a fixed cost of a few numpy calls.
+#: The cap bounds each batch's temporaries: on paper-scale exp3, caps of
+#: 16-512 segments kept peak RSS at the per-net level, while 1024 or one
+#: batch per design raised it by ~7 MB (glibc heap placement).
+_LOAD_BATCH_SEGMENTS = 256
 
 
 @dataclass(frozen=True)
@@ -217,45 +224,54 @@ class FpgaDevice:
         self.sync()
         slot = self._array_slots.get(segment_id)
         if slot is None:
-            slot = self._bti_array.view(self._segment_index(segment_id))
+            index = int(self._segment_indices((segment_id,))[0])
+            slot = self._bti_array.view(index)
             self._array_slots[segment_id] = slot
         return slot
 
-    def _materialise(
-        self, segment_id: SegmentId
-    ) -> tuple[SegmentTraits, float, float]:
-        """Sample one segment's traits and residual imprints.
+    def _segment_indices(self, segment_ids: Sequence[SegmentId]) -> np.ndarray:
+        """Array slots of ``segment_ids``, materialising first touches.
 
-        One variation sample, then one imprint sample: the reference
-        walker in ``tests/oracles`` draws in the same order, which is
-        what keeps the two engines bit-identical from a shared seed.
+        The segments not yet known (each once, in order of first
+        appearance) are materialised as one batch: one variation draw,
+        one imprint draw, one registration and one imprint preload.
+        Each random stream is consumed exactly as a segment-by-segment
+        walk would consume it, so the batch is bit-identical to
+        materialising the same segments one at a time.
         """
-        spec = spec_for(segment_id.kind)
-        rising, falling, amplitude = self._variation.sample_segment(
-            spec.delay_ps, spec.burn_amplitude_ps
+        index = self._array_index
+        count = len(segment_ids)
+        try:
+            # Known segments (every delay read after the first): one
+            # lookup each, since hashing a SegmentId is not cheap.
+            return np.fromiter((index[s] for s in segment_ids),
+                               dtype=np.intp, count=count)
+        except KeyError:
+            pass
+        self._materialise(
+            list(dict.fromkeys(s for s in segment_ids if s not in index))
         )
-        traits = SegmentTraits(
-            rising_delay_ps=rising,
-            falling_delay_ps=falling,
-            burn_amplitude_ps=amplitude,
+        return np.fromiter((index[s] for s in segment_ids), dtype=np.intp,
+                           count=count)
+
+    def _materialise(self, segment_ids: list[SegmentId]) -> None:
+        """Realise new segments: traits, residual imprints, array slots."""
+        specs = [spec_for(s.kind) for s in segment_ids]
+        rising, falling, amplitude = self._variation.sample_segments(
+            [spec.delay_ps for spec in specs],
+            [spec.burn_amplitude_ps for spec in specs],
         )
-        high, low = self.wear.sample_residual_imprints(
+        highs, lows = self.wear.sample_residual_imprints_many(
             amplitude, self._imprint_rng
         )
-        return traits, high, low
-
-    def _segment_index(self, segment_id: SegmentId) -> int:
-        """Array slot of a segment, materialising on first touch."""
-        index = self._array_index.get(segment_id)
-        if index is None:
-            traits, high, low = self._materialise(segment_id)
-            index = self._bti_array.register(traits)
-            if high or low:
-                self._bti_array.preload_imprint(
-                    [index], high_charge_ps=high, low_charge_ps=low
-                )
-            self._array_index[segment_id] = index
-        return index
+        slots = self._bti_array.register_many(rising, falling, amplitude)
+        imprinted = (highs != 0.0) | (lows != 0.0)
+        if imprinted.any():
+            self._bti_array.preload_imprint(
+                slots[imprinted], high_charge_ps=highs[imprinted],
+                low_charge_ps=lows[imprinted],
+            )
+        self._array_index.update(zip(segment_ids, slots.tolist()))
 
     @property
     def materialised_segments(self) -> int:
@@ -276,9 +292,10 @@ class FpgaDevice:
 
         Touching every routed segment here materialises its analog state,
         so the first load on a worn device also realises the residual
-        imprints of its unobserved history.  Segments never
-        dematerialise, so reloading a design this device has seen skips
-        the walk.
+        imprints of its unobserved history.  Whole nets are looked up
+        together, up to ``_LOAD_BATCH_SEGMENTS`` segments per batch.
+        Segments never dematerialise, so reloading a design this device
+        has seen skips the walk.
         """
         self.sync()
         if self._loaded is not None:
@@ -287,9 +304,14 @@ class FpgaDevice:
                 f"{self._loaded.name!r} loaded; wipe first"
             )
         if bitstream not in self._designs:
+            batch: list[SegmentId] = []
             for net in bitstream.netlist.routed_nets():
-                for segment_id in net.route:
-                    self.segment_state(segment_id)
+                batch.extend(net.route)
+                if len(batch) >= _LOAD_BATCH_SEGMENTS:
+                    self._segment_indices(batch)
+                    batch = []
+            if batch:
+                self._segment_indices(batch)
             self._designs.put(bitstream, _DesignSlots())
         self._loaded = bitstream
 
@@ -518,7 +540,7 @@ class FpgaDevice:
         duty_high: list[float] = []
         floating: list[int] = []
         for net in design.netlist.routed_nets():
-            indices = [self._segment_index(s) for s in net.route]
+            indices = self._segment_indices(net.route).tolist()
             if net.activity is NetActivity.STATIC:
                 target = (
                     static_one if int(net.static_value) == 1 else static_zero
@@ -583,13 +605,6 @@ class FpgaDevice:
         power = self._loaded.power.total_watts if self._loaded else 0.0
         return ThermalModel().junction_k(self._ambient_k, power)
 
-    def _route_indices(self, route: Route) -> np.ndarray:
-        """Array slots of a route's segments (materialising)."""
-        return np.fromiter(
-            (self._segment_index(s) for s in route), dtype=np.intp,
-            count=len(route),
-        )
-
     def transition_delays(self, route: Route) -> TransitionDelays:
         """True rising/falling propagation delay through a route, now.
 
@@ -599,7 +614,7 @@ class FpgaDevice:
         noisy output.
         """
         self.sync()
-        indices = self._route_indices(route)
+        indices = self._segment_indices(route)
         # Sequential left-to-right sum: bit-identical to accumulating
         # per-segment TransitionDelays (the reference walker's order).
         rising = sum(self._bti_array.rising_delay_ps(indices).tolist())
@@ -614,7 +629,7 @@ class FpgaDevice:
     def route_delta_ps(self, route: Route) -> float:
         """True BTI delta-ps of a route (oracle; for tests/analysis only)."""
         self.sync()
-        indices = self._route_indices(route)
+        indices = self._segment_indices(route)
         return float(sum(self._bti_array.delta_ps(indices).tolist()))
 
     def info(self) -> DeviceInfo:

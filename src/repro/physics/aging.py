@@ -52,22 +52,40 @@ class WearProfile:
         age = rng.normal(self.age_mean_hours, self.age_sigma_hours)
         return float(np.clip(age, 0.0, None))
 
-    def sample_residual_imprints(
-        self, burn_amplitude_ps: float, seed: SeedLike = None
-    ) -> tuple[float, float]:
-        """Draw residual (high, low) pool charges for one segment.
+    def sample_residual_imprints_many(
+        self, burn_amplitudes_ps, seed: SeedLike = None
+    ) -> tuple[np.ndarray, np.ndarray]:
+        """Draw residual (high, low) pool charge arrays for a batch.
 
         Prior tenants held unknown values; the residue left after the
         provider's holding time is small and roughly symmetric between
         pools, so each pool gets an independent half-normal charge.
+        Segments whose imprint scale is zero draw nothing, so the
+        stream advances exactly as per-segment sampling would.
         """
         rng = make_rng(seed)
-        scale = self.residual_imprint_fraction * burn_amplitude_ps
-        if scale == 0.0:
-            return 0.0, 0.0
-        high = abs(float(rng.normal(0.0, scale)))
-        low = abs(float(rng.normal(0.0, scale)))
-        return high, low
+        scale = self.residual_imprint_fraction * np.asarray(
+            burn_amplitudes_ps, dtype=float
+        )
+        highs = np.zeros(scale.shape[0])
+        lows = np.zeros(scale.shape[0])
+        drawn = scale != 0.0
+        if drawn.any():
+            charges = np.abs(rng.normal(
+                0.0, scale[drawn, None], size=(int(drawn.sum()), 2)
+            ))
+            highs[drawn] = charges[:, 0]
+            lows[drawn] = charges[:, 1]
+        return highs, lows
+
+    def sample_residual_imprints(
+        self, burn_amplitude_ps: float, seed: SeedLike = None
+    ) -> tuple[float, float]:
+        """Draw residual (high, low) pool charges for one segment."""
+        highs, lows = self.sample_residual_imprints_many(
+            [burn_amplitude_ps], seed
+        )
+        return float(highs[0]), float(lows[0])
 
 
 #: A factory-new development board (Experiment 1's ZCU102).

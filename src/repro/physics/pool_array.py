@@ -141,16 +141,24 @@ class TrapPoolArray:
             fresh[: self._count] = old[: self._count]
             setattr(self, name, fresh)
 
+    def add_pools(self, amplitudes_ps: IndexArray) -> np.ndarray:
+        """Register a batch of pools; returns their indices."""
+        amplitudes = np.asarray(amplitudes_ps, dtype=float)
+        if np.any(amplitudes < 0.0):
+            raise PhysicsError(
+                f"amplitude_ps must be >= 0, got {amplitudes.min()}"
+            )
+        start = self._count
+        end = start + amplitudes.shape[0]
+        if end > self.capacity:
+            self._grow(end)
+        self.amplitude_ps[start:end] = amplitudes
+        self._count = end
+        return np.arange(start, end, dtype=np.intp)
+
     def add_pool(self, amplitude_ps: float) -> int:
         """Register one pool; returns its index."""
-        if amplitude_ps < 0.0:
-            raise PhysicsError(f"amplitude_ps must be >= 0, got {amplitude_ps}")
-        if self._count == self.capacity:
-            self._grow(self._count + 1)
-        index = self._count
-        self.amplitude_ps[index] = amplitude_ps
-        self._count += 1
-        return index
+        return int(self.add_pools([amplitude_ps])[0])
 
     # ------------------------------------------------------------------
     # Vectorised kernels (element-for-element TrapPool semantics)
@@ -360,37 +368,67 @@ class SegmentBtiArray:
     def __init__(self) -> None:
         self.high = TrapPoolArray(HIGH_POOL)
         self.low = TrapPoolArray(LOW_POOL)
-        self._traits: list[SegmentTraits] = []
+        # Static traits, one element per segment (grown by doubling).
         self._rising_delay_ps = np.zeros(0)
         self._falling_delay_ps = np.zeros(0)
+        self._burn_amplitude_ps = np.zeros(0)
 
     def __len__(self) -> int:
-        return len(self._traits)
+        return len(self.high)
 
-    def register(self, traits: SegmentTraits) -> int:
-        """Add one segment; returns its index in the arrays."""
-        index = self.high.add_pool(
-            traits.burn_amplitude_ps * HIGH_POOL.amplitude_scale
-        )
-        low_index = self.low.add_pool(
-            traits.burn_amplitude_ps * LOW_POOL.amplitude_scale
-        )
-        assert index == low_index == len(self._traits)
-        self._traits.append(traits)
-        if index >= self._rising_delay_ps.shape[0]:
-            grown = max(16, 2 * self._rising_delay_ps.shape[0], index + 1)
-            for name in ("_rising_delay_ps", "_falling_delay_ps"):
+    def register_many(
+        self,
+        rising_delay_ps: IndexArray,
+        falling_delay_ps: IndexArray,
+        burn_amplitude_ps: IndexArray,
+    ) -> np.ndarray:
+        """Add a batch of segments; returns their indices in the arrays.
+
+        Element *i* of the three arrays are segment *i*'s
+        :class:`~repro.physics.bti.SegmentTraits`, validated the same way.
+        """
+        rising = np.asarray(rising_delay_ps, dtype=float)
+        falling = np.asarray(falling_delay_ps, dtype=float)
+        amplitude = np.asarray(burn_amplitude_ps, dtype=float)
+        if np.any(rising <= 0.0) or np.any(falling <= 0.0):
+            raise PhysicsError("segment delays must be positive")
+        if np.any(amplitude < 0.0):
+            raise PhysicsError("burn amplitude must be >= 0")
+        indices = self.high.add_pools(amplitude * HIGH_POOL.amplitude_scale)
+        self.low.add_pools(amplitude * LOW_POOL.amplitude_scale)
+        assert len(self.low) == len(self.high)
+        end = len(self)
+        start = end - indices.shape[0]
+        if end > self._rising_delay_ps.shape[0]:
+            grown = max(16, 2 * self._rising_delay_ps.shape[0], end)
+            for name in (
+                "_rising_delay_ps", "_falling_delay_ps", "_burn_amplitude_ps"
+            ):
                 old = getattr(self, name)
                 fresh = np.zeros(grown)
                 fresh[: old.shape[0]] = old
                 setattr(self, name, fresh)
-        self._rising_delay_ps[index] = traits.rising_delay_ps
-        self._falling_delay_ps[index] = traits.falling_delay_ps
-        return index
+        self._rising_delay_ps[start:end] = rising
+        self._falling_delay_ps[start:end] = falling
+        self._burn_amplitude_ps[start:end] = amplitude
+        return indices
+
+    def register(self, traits: SegmentTraits) -> int:
+        """Add one segment; returns its index in the arrays."""
+        return int(self.register_many(
+            [traits.rising_delay_ps], [traits.falling_delay_ps],
+            [traits.burn_amplitude_ps],
+        )[0])
 
     def traits(self, index: int) -> SegmentTraits:
         """Static traits of one registered segment."""
-        return self._traits[index]
+        if not 0 <= index < len(self):
+            raise PhysicsError(f"no segment at index {index}")
+        return SegmentTraits(
+            rising_delay_ps=float(self._rising_delay_ps[index]),
+            falling_delay_ps=float(self._falling_delay_ps[index]),
+            burn_amplitude_ps=float(self._burn_amplitude_ps[index]),
+        )
 
     # ------------------------------------------------------------------
     # Vectorised schedule operations (SegmentBti semantics per element)
@@ -498,7 +536,7 @@ class SegmentBtiArray:
 
     def view(self, index: int) -> "SegmentBtiSlot":
         """A scalar-shaped view of one segment (``SegmentBti`` surface)."""
-        if not 0 <= index < len(self._traits):
+        if not 0 <= index < len(self):
             raise PhysicsError(f"no segment at index {index}")
         return SegmentBtiSlot(self, index)
 

@@ -14,6 +14,7 @@ Variation matters for three reasons in this reproduction:
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -47,6 +48,17 @@ class VariationParams:
 DEFAULT_VARIATION = VariationParams()
 
 
+def _libm_exp(values: np.ndarray) -> np.ndarray:
+    """Elementwise ``exp`` through libm (:func:`math.exp`).
+
+    numpy's ``Generator.lognormal`` exponentiates with libm's ``exp``;
+    ``np.exp`` is numpy's own SIMD implementation, which differs from it
+    in the last bit for some inputs.
+    """
+    return np.fromiter(map(math.exp, values.tolist()), dtype=float,
+                       count=values.shape[0])
+
+
 class ProcessVariation:
     """Samples per-segment manufacturing variation for one die.
 
@@ -61,36 +73,47 @@ class ProcessVariation:
         self.params = params
         self._rng = make_rng(seed)
 
-    def delay_multiplier(self) -> float:
-        """Multiplier applied to a segment's nominal delay."""
-        return float(self._rng.lognormal(mean=0.0, sigma=self.params.delay_sigma))
+    def sample_segments(
+        self, nominal_delays_ps, nominal_amplitudes_ps
+    ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """Sample (rising_ps, falling_ps, amplitude_ps) arrays for a batch.
 
-    def amplitude_multiplier(self) -> float:
-        """Multiplier applied to a segment's BTI amplitude."""
-        return float(self._rng.lognormal(mean=0.0, sigma=self.params.amplitude_sigma))
-
-    def asymmetry_ps(self) -> float:
-        """Static falling-minus-rising delay offset for a segment."""
-        return float(self._rng.normal(loc=0.0, scale=self.params.asymmetry_sigma_ps))
+        One ``(n, 3)`` normal draw, row *i* holding segment *i*'s delay,
+        asymmetry and amplitude deviates -- the order n one-at-a-time
+        samples consume the stream in.  The two lognormal columns are
+        exponentiated by :func:`_libm_exp`, as numpy's own scalar
+        ``lognormal`` does.
+        """
+        delays = np.asarray(nominal_delays_ps, dtype=float)
+        amplitudes = np.asarray(nominal_amplitudes_ps, dtype=float)
+        if np.any(delays <= 0.0):
+            raise ConfigurationError(
+                f"nominal delay must be positive, got {delays.min()}"
+            )
+        if np.any(amplitudes < 0.0):
+            raise ConfigurationError(
+                f"nominal amplitude must be >= 0, got {amplitudes.min()}"
+            )
+        p = self.params
+        draws = self._rng.normal(
+            0.0, [p.delay_sigma, p.asymmetry_sigma_ps, p.amplitude_sigma],
+            size=(delays.shape[0], 3),
+        )
+        delay = delays * _libm_exp(draws[:, 0])
+        half_asymmetry = draws[:, 1] / 2.0
+        rising = np.maximum(delay - half_asymmetry, 1.0)
+        falling = np.maximum(delay + half_asymmetry, 1.0)
+        amplitude = amplitudes * _libm_exp(draws[:, 2])
+        return rising, falling, amplitude
 
     def sample_segment(
         self, nominal_delay_ps: float, nominal_amplitude_ps: float
     ) -> tuple[float, float, float]:
         """Sample (rising_ps, falling_ps, amplitude_ps) for one segment."""
-        if nominal_delay_ps <= 0.0:
-            raise ConfigurationError(
-                f"nominal delay must be positive, got {nominal_delay_ps}"
-            )
-        if nominal_amplitude_ps < 0.0:
-            raise ConfigurationError(
-                f"nominal amplitude must be >= 0, got {nominal_amplitude_ps}"
-            )
-        delay = nominal_delay_ps * self.delay_multiplier()
-        asymmetry = self.asymmetry_ps()
-        rising = max(delay - asymmetry / 2.0, 1.0)
-        falling = max(delay + asymmetry / 2.0, 1.0)
-        amplitude = nominal_amplitude_ps * self.amplitude_multiplier()
-        return rising, falling, amplitude
+        rising, falling, amplitude = self.sample_segments(
+            [nominal_delay_ps], [nominal_amplitude_ps]
+        )
+        return float(rising[0]), float(falling[0]), float(amplitude[0])
 
     def spawn_rng(self) -> np.random.Generator:
         """A child generator for related per-die randomness."""

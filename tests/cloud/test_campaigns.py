@@ -29,6 +29,7 @@ from repro.cloud.campaigns import (
     run_scan_campaign,
 )
 from repro.errors import CloudError, ConfigurationError
+from repro.observability import trace
 from repro.observability.metrics import registry
 from repro.observability.timeseries import FlightRecorder
 from repro.reliability.checkpoint import SweepJournal
@@ -252,6 +253,36 @@ class TestCampaigns:
         again = run_scan_campaign(_scenario(engine="reference"), plan)
         assert again.recovery_yield == result.recovery_yield
         assert again.details == result.details
+
+
+    @pytest.mark.parametrize("kind", ["scan", "flash"])
+    def test_campaign_span_tree(self, kind):
+        """Churn and probing show up as children of the campaign span,
+        and every probed board is accounted for by a probe span."""
+        trace.enable()
+        if kind == "scan":
+            result = run_scan_campaign(
+                _scenario(),
+                ScanPlan(victims=1, scan_width=4, scan_every_hours=16.0),
+            )
+        else:
+            result = run_flash_campaign(
+                _scenario(),
+                FlashAttackPlan(victims=2, flash_limit=5,
+                                reaction_hours=0.25),
+            )
+        (campaign,) = trace.roots()
+        assert campaign.name == "fleet.campaign"
+        assert campaign.attrs["kind"] == kind
+        names = {child.name for child in campaign.children}
+        assert names == {"fleet.churn", "fleet.probe"}
+        probes = [c for c in campaign.children if c.name == "fleet.probe"]
+        assert sum(p.attrs["boards"] for p in probes) == result.boards_probed
+        churn = [c for c in campaign.children if c.name == "fleet.churn"]
+        assert sum(c.attrs["hours"] for c in churn) == pytest.approx(
+            _scenario().horizon_hours
+        )
+        assert all(c.finished for c in campaign.walk())
 
 
 class TestChurnBenchmark:

@@ -239,7 +239,7 @@ class TestAgingKernelEquivalence:
         device.wipe()
         device.advance_hours(1.0, AMBIENT)
         touched = []
-        for name in ("_segment_index", "segment_state"):
+        for name in ("_segment_indices", "segment_state"):
             original = getattr(device, name)
 
             def counted(segment_id, _original=original, _name=name):

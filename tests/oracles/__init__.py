@@ -9,7 +9,7 @@ oracles the equivalence suite and the benchmarks pin them against:
   measurement loop and the dense (every-tap) bank resolve;
 * :mod:`tests.oracles.calibration` -- the sequential per-route scan;
 * :mod:`tests.oracles.aging` -- :class:`ScalarAgingDevice`, one
-  ``SegmentBti`` object per segment;
+  ``SegmentBti`` object per segment, materialised one draw at a time;
 * :mod:`tests.oracles.provider` -- :class:`EagerCloudProvider`, which
   ages every device on every clock tick.
 
@@ -32,7 +32,11 @@ from repro.cloud.provider import CloudProvider
 from repro.designs.measure import MeasureSession
 from repro.fabric.device import FpgaDevice
 from repro.sensor.tdc import TunableDualPolarityTdc
-from tests.oracles.aging import ScalarAgingDevice
+from tests.oracles.aging import (
+    ScalarAgingDevice,
+    sample_residual_imprints_scalar,
+    sample_segment_scalar,
+)
 from tests.oracles.calibration import calibrate_sequential
 from tests.oracles.capture import (
     capture_trace_scalar,
@@ -132,5 +136,7 @@ __all__ = [
     "measure_raw_scalar",
     "reference_engines",
     "resolve_bank_dense",
+    "sample_residual_imprints_scalar",
+    "sample_segment_scalar",
     "sample_word",
 ]

@@ -272,6 +272,40 @@ class TestSegmentBtiArrayEquivalence:
         assert slot.high_pool.charge_ps == scalar.high_pool.charge_ps
         assert slot.low_pool.charge_ps == scalar.low_pool.charge_ps
 
+    def test_register_many_matches_register_calls(self):
+        rng = np.random.default_rng(12)
+        traits = [_make_traits(rng) for _ in range(37)]
+        one_by_one = SegmentBtiArray()
+        slots = [one_by_one.register(t) for t in traits]
+        batched = SegmentBtiArray()
+        batched.register(traits[0])
+        rest = batched.register_many(
+            [t.rising_delay_ps for t in traits[1:]],
+            [t.falling_delay_ps for t in traits[1:]],
+            [t.burn_amplitude_ps for t in traits[1:]],
+        )
+        assert rest.tolist() == slots[1:]
+        assert len(batched) == len(one_by_one) == len(traits)
+        for i, t in enumerate(traits):
+            assert batched.traits(i) == t
+        for pools in ("high", "low"):
+            a, b = getattr(batched, pools), getattr(one_by_one, pools)
+            assert np.array_equal(a.amplitude_ps[: len(a)],
+                                  b.amplitude_ps[: len(b)])
+        everything = np.arange(len(traits))
+        assert np.array_equal(batched.rising_delay_ps(everything),
+                              one_by_one.rising_delay_ps(everything))
+        assert np.array_equal(batched.falling_delay_ps(everything),
+                              one_by_one.falling_delay_ps(everything))
+
+    def test_register_many_validates_traits(self):
+        array = SegmentBtiArray()
+        with pytest.raises(PhysicsError):
+            array.register_many([100.0, 0.0], [100.0, 100.0], [1.0, 1.0])
+        with pytest.raises(PhysicsError):
+            array.register_many([100.0], [100.0], [-1.0])
+        assert len(array) == 0
+
     def test_invalid_hold_value_rejected(self):
         array = SegmentBtiArray()
         array.register(SegmentTraits(100.0, 100.0, 1.0))

@@ -14,6 +14,10 @@ from repro.physics.variation import (
     ProcessVariation,
     VariationParams,
 )
+from tests.oracles import (
+    sample_residual_imprints_scalar,
+    sample_segment_scalar,
+)
 
 
 class TestProcessVariation:
@@ -117,3 +121,81 @@ class TestDelayModel:
             alpha_power_delay_shift(-1.0, 10.0)
         with pytest.raises(PhysicsError):
             alpha_power_delay_shift(100.0, 10.0, vdd=0.3, vth=0.4)
+
+
+class TestBatchedSampling:
+    """The batched samplers are the only sampling path; the one-draw-
+    at-a-time reference samplers of ``tests.oracles`` must reproduce a
+    batch of n exactly, draw for draw."""
+
+    def test_sample_segments_matches_scalar_calls(self):
+        """Over 10k segments the batch equals the scalar loop bit for bit
+        (a SIMD ``np.exp`` in place of libm ``exp`` breaks this)."""
+        n = 10_000
+        nominal = np.random.default_rng(5)
+        delays = nominal.uniform(20.0, 600.0, size=n)
+        amplitudes = nominal.uniform(0.0, 2.0, size=n)
+        batch = ProcessVariation(seed=11)
+        scalar = ProcessVariation(seed=11)
+        rising, falling, amplitude = batch.sample_segments(delays, amplitudes)
+        expected = np.array([
+            sample_segment_scalar(scalar, float(d), float(a))
+            for d, a in zip(delays, amplitudes)
+        ])
+        assert np.array_equal(rising, expected[:, 0])
+        assert np.array_equal(falling, expected[:, 1])
+        assert np.array_equal(amplitude, expected[:, 2])
+        # Both streams stand at the same position afterwards.
+        assert batch.spawn_rng().random() == scalar.spawn_rng().random()
+
+    def test_single_samples_are_batches_of_one(self):
+        wrapper = ProcessVariation(seed=3)
+        batch = ProcessVariation(seed=3)
+        singles = [wrapper.sample_segment(450.0, 0.5) for _ in range(5)]
+        rising, falling, amplitude = batch.sample_segments(
+            [450.0] * 5, [0.5] * 5
+        )
+        assert singles == list(zip(rising.tolist(), falling.tolist(),
+                                   amplitude.tolist()))
+        highs, lows = CLOUD_PART.sample_residual_imprints_many(
+            [0.5, 0.0], np.random.default_rng(9)
+        )
+        rng = np.random.default_rng(9)
+        assert [CLOUD_PART.sample_residual_imprints(a, rng)
+                for a in (0.5, 0.0)] == list(zip(highs.tolist(),
+                                                 lows.tolist()))
+
+    def test_sample_segments_rejects_invalid_nominals(self):
+        with pytest.raises(ConfigurationError):
+            ProcessVariation(seed=1).sample_segments([10.0, 0.0], [1.0, 1.0])
+        with pytest.raises(ConfigurationError):
+            ProcessVariation(seed=1).sample_segments([10.0], [-1.0])
+
+    def test_residual_imprints_match_scalar_calls(self):
+        amplitudes = np.random.default_rng(2).uniform(0.0, 1.5, size=2_000)
+        amplitudes[::3] = 0.0
+        batch_rng = np.random.default_rng(4)
+        scalar_rng = np.random.default_rng(4)
+        highs, lows = CLOUD_PART.sample_residual_imprints_many(
+            amplitudes, batch_rng
+        )
+        expected = np.array([
+            sample_residual_imprints_scalar(CLOUD_PART, float(a), scalar_rng)
+            for a in amplitudes
+        ])
+        assert np.array_equal(highs, expected[:, 0])
+        assert np.array_equal(lows, expected[:, 1])
+        assert batch_rng.random() == scalar_rng.random()
+
+    def test_zero_scale_imprints_consume_no_draws(self):
+        untouched = np.random.default_rng(8)
+        rng = np.random.default_rng(8)
+        highs, lows = CLOUD_PART.sample_residual_imprints_many(
+            np.zeros(50), rng
+        )
+        assert not highs.any() and not lows.any()
+        highs, lows = NEW_PART.sample_residual_imprints_many(
+            np.ones(50), rng
+        )
+        assert not highs.any() and not lows.any()
+        assert rng.random() == untouched.random()
